@@ -2,7 +2,8 @@
  * @file
  * Micro-benchmarks (google-benchmark) for the hot kernels of the
  * functional stack: feature gathers per encoding, the decoder MLP,
- * warping, compositing and the memory-model sinks.
+ * the occupancy marches, warping, compositing and the memory-model
+ * sinks.
  *
  * The JSON context carries a "simd_backend" key (avx2|neon|scalar —
  * the backend the process actually dispatches to, so a
@@ -280,6 +281,49 @@ BM_WarpFrame(benchmark::State &state)
     }
 }
 BENCHMARK(BM_WarpFrame)->Unit(benchmark::kMicrosecond);
+
+/**
+ * The two occupancy marches over every ray of a 128x128 lego frame
+ * from the DVGO (Fast) model, in rays/s ("items_per_second"): leg 0 is
+ * SPARW's void test (OccupancyGrid::rayHitsOccupied), leg 1 the
+ * renderer's sampler (RaySampler::sample).
+ */
+void
+BM_OccupancyMarch(benchmark::State &state)
+{
+    static auto setup = [] {
+        const Scene &scene = benchScene();
+        auto model = buildModel(ModelKind::DirectVoxGO, scene);
+        OrbitParams orbit;
+        orbit.radius = scene.cameraDistance;
+        Camera cam = Camera::fromFov(128, 128, scene.fovYDeg,
+                                     orbitTrajectory(orbit, 1)[0]);
+        std::vector<Ray> rays;
+        for (int y = 0; y < cam.height; ++y)
+            for (int x = 0; x < cam.width; ++x)
+                rays.push_back(cam.generateRay(x, y));
+        return std::make_pair(std::move(model), std::move(rays));
+    }();
+    const auto &[model, rays] = setup;
+    const bool sampler = state.range(0) == 1;
+    state.SetLabel(sampler ? "RaySampler::sample"
+                           : "OccupancyGrid::rayHitsOccupied");
+    std::vector<RaySample> samples;
+    for (auto _ : state) {
+        std::size_t acc = 0;
+        for (const Ray &ray : rays)
+            acc += sampler ? model->sampler().sample(ray, samples)
+                           : model->occupancy().rayHitsOccupied(ray);
+        benchmark::DoNotOptimize(acc);
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(rays.size()));
+}
+BENCHMARK(BM_OccupancyMarch)
+    ->ArgName("sampler")
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
 
 void
 BM_LruCacheSink(benchmark::State &state)

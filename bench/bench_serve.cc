@@ -34,9 +34,11 @@
  *    the fair-share check.
  *
  * Exit code gates on (a) every session of every leg bit-identical to
- * its solo render, (b) — only when the pool has >= 2 threads AND
- * the machine has >= 2 hardware cores — aggregate rays/s of the
- * 8-session fused uniform leg >= 1.5x the serial_unfused baseline,
+ * its solo render (a session shed to half resolution under overload
+ * against a 1-thread solo render at that resolution), (b) — only
+ * when the pool has >= 2 threads AND the machine has >= 2 hardware
+ * cores — aggregate rays/s of the 8-session fused uniform leg >= 1.5x
+ * the serial_unfused baseline,
  * and (c) under the same arming, the low_session fan-out gates. On
  * a single-core runner extra software threads only time-slice the one
  * core, so concurrent sessions cannot beat the serial walk and the
@@ -204,14 +206,39 @@ runLeg(const ModelKey &key, const std::vector<ClientSpec> &clients,
     leg.fusion = svc.cache().fusionStatsTotal();
     leg.service = svc.counters();
 
+    bool anyShed = false;
     for (std::size_t i = 0; i < clients.size(); ++i) {
         const auto &frames = results[i].frames;
+        if (frames.size() != clients[i].trajectory.size())
+            leg.bitIdentical = false;
+        anyShed = anyShed || results[i].downsampled;
         for (std::size_t f = 0; f < frames.size(); ++f) {
             leg.rays += frames[f].work.rays;
             leg.latencyS[i].push_back(frames[f].latencyS);
-            if (!identical(frames[f].image, solo[i][f]))
+            if (!results[i].downsampled &&
+                !identical(frames[f].image, solo[i][f]))
                 leg.bitIdentical = false;
         }
+    }
+    // A session shed to the downsampled path is compared with a
+    // 1-thread solo render at its own (half) resolution, never skipped.
+    if (anyShed) {
+        setParallelThreadCount(1);
+        for (std::size_t i = 0; i < clients.size(); ++i) {
+            if (!results[i].downsampled)
+                continue;
+            const auto &frames = results[i].frames;
+            for (std::size_t f = 0; f < frames.size(); ++f) {
+                Camera cam = Camera::fromFov(
+                    std::max(8, clients[i].width / 2),
+                    std::max(8, clients[i].height / 2),
+                    pin.model().scene().fovYDeg, clients[i].trajectory[f]);
+                if (!identical(frames[f].image,
+                               pin.model().render(cam).image))
+                    leg.bitIdentical = false;
+            }
+        }
+        setParallelThreadCount(0);
     }
     return leg;
 }

@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "cicero/warp.hh"
 #include "nerf/renderer.hh"
+#include "occupancy_reference.hh"
 #include "test_util.hh"
 
 namespace cicero {
@@ -238,6 +241,82 @@ TEST_F(WarpFixture, SparseRenderFillsDisocclusions)
     // Eq. 4 result approximates the full render.
     RenderResult full = model->render(t);
     EXPECT_GT(psnr(w.image, full.image), 25.0);
+}
+
+/**
+ * Hole classification from hard poses equals a per-hole reclassification
+ * with the whole-bounds reference march: cameras near and inside the
+ * volume and large rotations, for each headline model over the tiny
+ * scene and lego.
+ */
+TEST(WarpClassificationTest, MatchesReferenceMarchFromHardPoses)
+{
+    const int res = 40;
+    std::uint64_t totalVoid = 0, totalDisoccluded = 0;
+    for (const Scene &scene : {test::tinyScene(), makeScene("lego")}) {
+        const Aabb &b = scene.field.bounds();
+        const Vec3 c = b.center();
+        const Vec3 up{0.0f, 1.0f, 0.0f};
+        const float d = 0.5f * b.extent().norm() + 0.8f;
+        auto orbitPose = [&](float deg) {
+            const float a = deg2rad(deg);
+            return Pose::lookAt(
+                c + Vec3{d * std::sin(a), 0.4f * d, d * std::cos(a)}, c,
+                up);
+        };
+        const Vec3 inside = c + b.extent() * Vec3{0.2f, 0.3f, 0.35f};
+        const Vec3 near{c.x + 0.1f, c.y + 0.2f, b.hi.z + 0.05f};
+        struct Case
+        {
+            Pose ref, tgt;
+        };
+        const std::vector<Case> cases = {
+            {orbitPose(0.0f), orbitPose(110.0f)},      // large rotation
+            {orbitPose(0.0f), Pose::lookAt(near, c, up)},
+            {orbitPose(30.0f), Pose::lookAt(inside, c, up)},
+            {Pose::lookAt(inside, c, up),              // turn in place
+             Pose::lookAt(inside, c + Vec3{0.9f, -0.6f, 0.0f}, up)},
+        };
+        for (ModelKind kind : mainModelKinds()) {
+            std::unique_ptr<NerfModel> model = buildModel(kind, scene);
+            const OccupancyGrid &grid = model->occupancy();
+            for (const Case &k : cases) {
+                const Camera refCam =
+                    Camera::fromFov(res, res, scene.fovYDeg, k.ref);
+                const Camera tgtCam =
+                    Camera::fromFov(res, res, scene.fovYDeg, k.tgt);
+                const RenderResult r = model->render(refCam);
+                const WarpOutput w = warpFrame(r.image, r.depth, refCam,
+                                               tgtCam, &grid,
+                                               scene.background);
+                std::vector<std::uint32_t> needRender;
+                std::uint64_t voidHoles = 0;
+                for (int y = 0; y < res; ++y)
+                    for (int x = 0; x < res; ++x) {
+                        if (std::isfinite(w.depth.at(x, y)))
+                            continue;
+                        if (test::referenceRayHitsOccupied(
+                                grid, tgtCam.generateRay(x, y))) {
+                            needRender.push_back(
+                                static_cast<std::uint32_t>(y * res + x));
+                        } else {
+                            ++voidHoles;
+                            EXPECT_EQ(w.image.at(x, y).x,
+                                      scene.background.x);
+                        }
+                    }
+                EXPECT_EQ(w.needRender, needRender)
+                    << scene.name << " " << modelName(kind);
+                EXPECT_EQ(w.stats.voidHoles, voidHoles)
+                    << scene.name << " " << modelName(kind);
+                EXPECT_EQ(w.stats.disoccluded, needRender.size());
+                totalVoid += voidHoles;
+                totalDisoccluded += needRender.size();
+            }
+        }
+    }
+    EXPECT_GT(totalVoid, 0u);
+    EXPECT_GT(totalDisoccluded, 0u);
 }
 
 } // namespace
