@@ -8,53 +8,54 @@
  *  - solo: every session's trajectory rendered alone through
  *    NerfModel::render (full-pool parallel) — the bit-identity
  *    reference for every serve leg, and a context throughput number.
- *  - serial_unfused: the serving baseline — sessions handled one at a
- *    time, in-flight window 1, decode unfused. This is what a naive
- *    server that serializes clients achieves; the headline gate
- *    compares against it.
+ *  - serial: the serving baseline — sessions admitted one at a time,
+ *    in-flight window 1, one block per frame. This is what a naive
+ *    server that serializes clients achieves; the gain gates compare
+ *    against it.
  *  - uniform: S identical sessions admitted together for
- *    S in {1,2,4,8,16}, cross-session decode fusion on; reports
- *    p50/p95/p99 frame latency, aggregate rays/s, fusion counters and
- *    scheduler-counter deltas per S.
- *  - low_session: S in {1,2} run twice, intra-frame ray-block fan-out
- *    off vs on (decode fused both ways) — the batching-density story
- *    at low occupancy: fan-out feeds the fusion queue same-frame
- *    blocks, so the decode kernel runs dense even without many
- *    sessions. Gated (multi-core only): fan-out on must be strictly
- *    denser (avg fused batch size) and faster (aggregate rays/s) than
- *    off at both counts, the 2-session fan-out-on leg must reach
- *    >= 1.2x the serial_unfused baseline, and its mean blocks per
- *    kernel pass must exceed 1.
+ *    S in {1,2,4,8,16}; reports p50/p95/p99 frame latency, aggregate
+ *    rays/s and scheduler-counter deltas per S.
  *  - fp16: the 8-session uniform mix on the fp16-storage model
- *    variant (fusion also amortizes the per-call weight widening).
+ *    variant.
  *  - bursty: half the sessions admitted immediately, the second wave
  *    admitted only after the first wave's first frames completed.
  *  - heavy_tailed: one elephant session (4x the frames, jittered
  *    trajectory) among mice; reports elephant vs mice p95 latency —
  *    the fair-share check.
+ *  - gates: legs run in kGatePairs interleaved pairs (ABAB..., the
+ *    side that runs first alternating), each gate reading the median
+ *    of the per-pair rays/s ratios, because this host's throughput
+ *    swings ~3x from run to run and a single A/B is a coin flip:
+ *      - aggregate: 8 concurrent sessions over serial, >= 1.5x;
+ *      - fanout_2_sessions: 2 concurrent sessions with ray-block
+ *        fan-out over serial on the same 2 clients, >= 1.2x;
+ *      - fanout_on_vs_off_{1,2}: fan-out over one block per frame at
+ *        S concurrent sessions, > 1x. Armed only when
+ *        threads > S x window: otherwise window pipelining alone
+ *        already fills the pool and fan-out cannot add parallelism.
  *
- * Exit code gates on (a) every session of every leg bit-identical to
+ * Exit code gates on (a) every session of every run bit-identical to
  * its solo render (a session shed to half resolution under overload
- * against a 1-thread solo render at that resolution), (b) — only
+ * against a 1-thread solo render at that resolution), and (b) — only
  * when the pool has >= 2 threads AND the machine has >= 2 hardware
- * cores — aggregate rays/s of the 8-session fused uniform leg >= 1.5x
- * the serial_unfused baseline,
- * and (c) under the same arming, the low_session fan-out gates. On
- * a single-core runner extra software threads only time-slice the one
- * core, so concurrent sessions cannot beat the serial walk and the
- * perf legs are smoke tests there, like the other parallel benches.
+ * cores — the gain gates above. On a single-core runner extra
+ * software threads only time-slice the one core, so concurrent
+ * sessions cannot beat the serial walk and the perf legs are smoke
+ * tests there, like the other parallel benches.
  *
  * --quick cuts resolution, frame counts and the session sweep for the
- * CI smoke step; every bit-identity check still runs.
+ * CI smoke step; every bit-identity check and gate still runs.
  */
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "bench_util.hh"
@@ -66,6 +67,12 @@ using namespace cicero::bench;
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/** Interleaved pairs behind every gain gate. */
+constexpr int kGatePairs = 9;
+
+/** fanOutBlockRows value that renders each frame as one block. */
+constexpr int kOneBlockPerFrame = INT_MAX;
 
 double
 seconds(Clock::duration d)
@@ -85,18 +92,24 @@ identical(const Image &a, const Image &b)
     return true;
 }
 
+/** Linearly interpolated quantile @p p of @p v. */
 double
-percentileMs(std::vector<double> latencies, double p)
+quantile(std::vector<double> v, double p)
 {
-    if (latencies.empty())
+    if (v.empty())
         return 0.0;
-    std::sort(latencies.begin(), latencies.end());
-    const double rank = p * static_cast<double>(latencies.size() - 1);
+    std::sort(v.begin(), v.end());
+    const double rank = p * static_cast<double>(v.size() - 1);
     const std::size_t lo = static_cast<std::size_t>(rank);
-    const std::size_t hi = std::min(lo + 1, latencies.size() - 1);
+    const std::size_t hi = std::min(lo + 1, v.size() - 1);
     const double frac = rank - static_cast<double>(lo);
-    return 1e3 *
-           (latencies[lo] * (1.0 - frac) + latencies[hi] * frac);
+    return v[lo] * (1.0 - frac) + v[hi] * frac;
+}
+
+double
+percentileMs(const std::vector<double> &latencies, double p)
+{
+    return 1e3 * quantile(latencies, p);
 }
 
 /** One client's request in a traffic mix. */
@@ -114,25 +127,10 @@ struct LegResult
     std::uint64_t rays = 0;
     bool bitIdentical = true;
     std::vector<std::vector<double>> latencyS; //!< per client, per frame
-    FusionStats fusion;
     SchedulerCounters sched;
     ServiceCounters service;
 
     double raysPerS() const { return wallS > 0.0 ? rays / wallS : 0.0; }
-    /** Mean samples per fused-queue kernel pass (batch density). */
-    double avgBatchSamples() const
-    {
-        return fusion.passes > 0 ? static_cast<double>(fusion.samples) /
-                                       static_cast<double>(fusion.passes)
-                                 : 0.0;
-    }
-    /** Mean ray blocks per fused-queue kernel pass. */
-    double avgBatchBlocks() const
-    {
-        return fusion.passes > 0 ? static_cast<double>(fusion.blocks) /
-                                       static_cast<double>(fusion.passes)
-                                 : 0.0;
-    }
     std::vector<double> allLatencies() const
     {
         std::vector<double> out;
@@ -142,27 +140,66 @@ struct LegResult
     }
 };
 
+/** What a leg's run added to the service's counters. */
+ServiceCounters
+countersSince(const ServiceCounters &before, const ServiceCounters &now)
+{
+    ServiceCounters d;
+    d.admitted = now.admitted - before.admitted;
+    d.rejected = now.rejected - before.rejected;
+    d.framesCompleted = now.framesCompleted - before.framesCompleted;
+    d.frameRetries = now.frameRetries - before.frameRetries;
+    d.framesFailed = now.framesFailed - before.framesFailed;
+    d.framesSkipped = now.framesSkipped - before.framesSkipped;
+    d.quarantinedSessions =
+        now.quarantinedSessions - before.quarantinedSessions;
+    d.shedAdmissions = now.shedAdmissions - before.shedAdmissions;
+    d.deadlineMisses = now.deadlineMisses - before.deadlineMisses;
+    return d;
+}
+
 /**
- * Run one leg: admit every client per @p admitWave (clients whose wave
- * is 0 immediately; wave-1 clients after every wave-0 client finished
- * its first frame), wait for all, and check each client's frames
- * against @p solo.
+ * A render service for legs of up to @p clients sessions, cut into
+ * @p blockRows-row ray blocks, with its model pinned so the model
+ * builds once (untimed) and every run of a leg on this server reuses
+ * it.
+ */
+struct Server
+{
+    Server(const ModelKey &key, int blockRows, std::size_t clients)
+        : svc(config(blockRows, clients)), pin(svc.cache().acquire(key))
+    {
+    }
+
+    RenderService svc;
+    SharedModelCache::Lease pin; //!< released before svc is destroyed
+
+  private:
+    static RenderServiceConfig
+    config(int blockRows, std::size_t clients)
+    {
+        RenderServiceConfig cfg;
+        cfg.fanOutBlockRows = blockRows;
+        cfg.maxSessions = static_cast<int>(clients) + 1;
+        return cfg;
+    }
+};
+
+/**
+ * Run one leg on @p server: admit every client per @p admitWave
+ * (clients whose wave is 0 immediately; wave-1 clients after every
+ * wave-0 client finished its first frame), wait for all, and check
+ * each client's frames against @p solo.
  */
 LegResult
-runLeg(const ModelKey &key, const std::vector<ClientSpec> &clients,
-       const std::vector<std::vector<Image>> &solo, bool fuse, int window,
-       bool fanOut = true, const std::vector<int> *admitWave = nullptr,
+runLeg(Server &server, const std::vector<ClientSpec> &clients,
+       const std::vector<std::vector<Image>> &solo, int window,
+       const std::vector<int> *admitWave = nullptr,
        bool serializeClients = false)
 {
-    RenderServiceConfig cfg;
-    cfg.fuseDecode = fuse;
-    cfg.intraFrameFanOut = fanOut;
-    cfg.maxSessions = static_cast<int>(clients.size()) + 1;
-    RenderService svc(cfg);
-
-    // Pin the model so its (untimed) build happens here, not inside
-    // the first admit of the timed region.
-    SharedModelCache::Lease pin = svc.cache().acquire(key);
+    RenderService &svc = server.svc;
+    const SharedModelCache::Lease &pin = server.pin;
+    const ModelKey &key = pin.key();
 
     LegResult leg;
     leg.latencyS.resize(clients.size());
@@ -180,6 +217,7 @@ runLeg(const ModelKey &key, const std::vector<ClientSpec> &clients,
     };
 
     const SchedulerCounters base = parallelSchedulerCounters();
+    const ServiceCounters serviceBase = svc.counters();
     const Clock::time_point t0 = Clock::now();
     if (serializeClients) {
         for (std::size_t i = 0; i < clients.size(); ++i) {
@@ -203,8 +241,7 @@ runLeg(const ModelKey &key, const std::vector<ClientSpec> &clients,
     }
     leg.wallS = seconds(Clock::now() - t0);
     leg.sched = parallelSchedulerCountersSince(base);
-    leg.fusion = svc.cache().fusionStatsTotal();
-    leg.service = svc.counters();
+    leg.service = countersSince(serviceBase, svc.counters());
 
     bool anyShed = false;
     for (std::size_t i = 0; i < clients.size(); ++i) {
@@ -243,29 +280,62 @@ runLeg(const ModelKey &key, const std::vector<ClientSpec> &clients,
     return leg;
 }
 
-void
-printFusion(const FusionStats &f)
+/** A gain measured as kGatePairs interleaved pairs of two legs. */
+struct PairedGain
 {
-    const double passes =
-        f.passes > 0 ? static_cast<double>(f.passes) : 1.0;
-    std::printf("\"fusion\": {\"blocks\": %llu, \"samples\": %llu, "
-                "\"passes\": %llu, \"fused_passes\": %llu, "
-                "\"cross_session_passes\": %llu, "
-                "\"avg_batch_samples\": %.2f, "
-                "\"avg_batch_blocks\": %.2f, "
-                "\"max_batch_samples\": %llu, "
-                "\"max_batch_blocks\": %llu, "
-                "\"weighted_sessions\": %llu}",
-                static_cast<unsigned long long>(f.blocks),
-                static_cast<unsigned long long>(f.samples),
-                static_cast<unsigned long long>(f.passes),
-                static_cast<unsigned long long>(f.fusedPasses),
-                static_cast<unsigned long long>(f.crossSessionPasses),
-                static_cast<double>(f.samples) / passes,
-                static_cast<double>(f.blocks) / passes,
-                static_cast<unsigned long long>(f.maxBatchSamples),
-                static_cast<unsigned long long>(f.maxBatchBlocks),
-                static_cast<unsigned long long>(f.weightedSessions));
+    std::vector<double> baseRaysPerS; //!< leg A, one per pair
+    std::vector<double> raysPerS;     //!< leg B, one per pair
+    std::vector<double> ratios;       //!< B over A, one per pair
+    bool bitIdentical = true;
+
+    double median() const { return quantile(ratios, 0.5); }
+};
+
+/**
+ * Run @p runA and @p runB in kGatePairs pairs, alternating which of
+ * the two runs first, so drift in the host's speed hits both sides.
+ */
+template <typename RunA, typename RunB>
+PairedGain
+interleaved(RunA runA, RunB runB)
+{
+    PairedGain g;
+    for (int p = 0; p < kGatePairs; ++p) {
+        LegResult a, b;
+        if (p % 2 == 0) {
+            a = runA();
+            b = runB();
+        } else {
+            b = runB();
+            a = runA();
+        }
+        g.bitIdentical = g.bitIdentical && a.bitIdentical && b.bitIdentical;
+        g.baseRaysPerS.push_back(a.raysPerS());
+        g.raysPerS.push_back(b.raysPerS());
+        g.ratios.push_back(a.raysPerS() > 0.0 ? b.raysPerS() / a.raysPerS()
+                                              : 0.0);
+    }
+    return g;
+}
+
+void
+printGain(const char *name, const PairedGain &g, double bound,
+          bool armed, bool pass)
+{
+    std::printf("\"%s\": {\"pairs\": %zu, \"median\": %.3f, "
+                "\"q1\": %.3f, \"q3\": %.3f, \"min\": %.3f, "
+                "\"ratios\": [",
+                name, g.ratios.size(), g.median(),
+                quantile(g.ratios, 0.25), quantile(g.ratios, 0.75),
+                quantile(g.ratios, 0.0));
+    for (std::size_t i = 0; i < g.ratios.size(); ++i)
+        std::printf("%s%.3f", i ? ", " : "", g.ratios[i]);
+    std::printf("], \"base_rays_per_s_median\": %.1f, "
+                "\"rays_per_s_median\": %.1f, \"bound\": %.2f, "
+                "\"armed\": %s, \"pass\": %s, \"bit_identical\": %s}",
+                quantile(g.baseRaysPerS, 0.5), quantile(g.raysPerS, 0.5),
+                bound, armed ? "true" : "false", pass ? "true" : "false",
+                g.bitIdentical ? "true" : "false");
 }
 
 void
@@ -285,20 +355,18 @@ printSched(const SchedulerCounters &c)
 
 /**
  * Robustness counters: retries/quarantines/shedding from the service,
- * solo-retry fallbacks from the fusion queue, drained tasks from the
- * scheduler. All zero on a healthy leg — the bench asserts nothing
- * about them, it *surfaces* them so a regression that starts tripping
- * the degradation machinery is visible in the JSON.
+ * drained tasks from the scheduler. All zero on a healthy leg except
+ * shedding, which the 8-session legs trip by design — the bench asserts
+ * nothing about them, it *surfaces* them so a regression that starts
+ * tripping the degradation machinery is visible in the JSON.
  */
 void
-printRobust(const ServiceCounters &s, const FusionStats &f,
-            const SchedulerCounters &c)
+printRobust(const ServiceCounters &s, const SchedulerCounters &c)
 {
     std::printf("\"robustness\": {\"frame_retries\": %llu, "
                 "\"frames_failed\": %llu, \"frames_skipped\": %llu, "
                 "\"quarantined_sessions\": %llu, "
                 "\"shed_admissions\": %llu, \"deadline_misses\": %llu, "
-                "\"split_retries\": %llu, \"failed_blocks\": %llu, "
                 "\"tasks_drained\": %llu, \"groups_cancelled\": %llu}",
                 static_cast<unsigned long long>(s.frameRetries),
                 static_cast<unsigned long long>(s.framesFailed),
@@ -306,8 +374,6 @@ printRobust(const ServiceCounters &s, const FusionStats &f,
                 static_cast<unsigned long long>(s.quarantinedSessions),
                 static_cast<unsigned long long>(s.shedAdmissions),
                 static_cast<unsigned long long>(s.deadlineMisses),
-                static_cast<unsigned long long>(f.splitRetries),
-                static_cast<unsigned long long>(f.failedBlocks),
                 static_cast<unsigned long long>(c.tasksDrained),
                 static_cast<unsigned long long>(c.groupsCancelled));
 }
@@ -344,7 +410,7 @@ main(int argc, char **argv)
     key.kind = ModelKind::DirectVoxGO;
     key.preset = ModelPreset::Fast;
 
-    banner("serve", "multi-session render service, fused MLP decode");
+    banner("serve", "multi-session render service");
 
     const Scene scene = makeScene(key.scene);
 
@@ -418,111 +484,110 @@ main(int argc, char **argv)
     const std::vector<std::vector<Image>> soloFp16 =
         soloRender(fp16Key, fp16Clients, nullptr);
 
-    // ---- serving legs ----------------------------------------------
-    const int gateSessions = std::min(8, maxSessions);
-    std::vector<ClientSpec> gateClients(uniform.begin(),
-                                        uniform.begin() + gateSessions);
-    std::vector<std::vector<Image>> soloGate(
-        soloUniform.begin(), soloUniform.begin() + gateSessions);
+    // Low-session gate clients run 4x the frames: one or two sessions
+    // of `frames` frames finish in ~10 ms, too short to time against
+    // this host's millisecond-scale stalls.
+    std::vector<ClientSpec> low(2);
+    for (int i = 0; i < 2; ++i)
+        low[i] = ClientSpec{clientOrbit(i, 4 * frames), res, res};
+    const std::vector<std::vector<Image>> soloLow =
+        soloRender(key, low, nullptr);
 
-    const LegResult serialUnfused =
-        runLeg(key, gateClients, soloGate, /*fuse=*/false, /*window=*/1,
-               /*fanOut=*/false, nullptr, /*serializeClients=*/true);
+    // ---- serving legs ----------------------------------------------
+    // Each leg, and each gate's pair of legs, gets its own servers, so
+    // at most two models are resident at once.
+    auto first = [](const auto &v, std::size_t n) {
+        return std::decay_t<decltype(v)>(v.begin(), v.begin() + n);
+    };
+    const int gateSessions = std::min(8, maxSessions);
+    const std::vector<ClientSpec> gateClients = first(uniform, gateSessions);
+    const std::vector<std::vector<Image>> soloGate =
+        first(soloUniform, gateSessions);
+    auto freshLeg = [&](const ModelKey &k,
+                        const std::vector<ClientSpec> &clients,
+                        const std::vector<std::vector<Image>> &solo,
+                        const std::vector<int> *admitWave = nullptr) {
+        Server srv(k, 0, clients.size());
+        return runLeg(srv, clients, solo, window, admitWave);
+    };
 
     std::vector<LegResult> uniformLegs;
-    for (int s : sessionCounts) {
-        std::vector<ClientSpec> clients(uniform.begin(),
-                                        uniform.begin() + s);
-        std::vector<std::vector<Image>> solo(soloUniform.begin(),
-                                             soloUniform.begin() + s);
+    for (int s : sessionCounts)
         uniformLegs.push_back(
-            runLeg(key, clients, solo, /*fuse=*/true, window));
-    }
+            freshLeg(key, first(uniform, s), first(soloUniform, s)));
 
-    const LegResult fp16Leg =
-        runLeg(fp16Key, fp16Clients, soloFp16, /*fuse=*/true, window);
+    const LegResult fp16Leg = freshLeg(fp16Key, fp16Clients, soloFp16);
 
     std::vector<int> waves(gateClients.size(), 0);
     for (std::size_t i = waves.size() / 2; i < waves.size(); ++i)
         waves[i] = 1;
-    const LegResult bursty =
-        runLeg(key, gateClients, soloGate, /*fuse=*/true, window,
-               /*fanOut=*/true, &waves);
+    const LegResult bursty = freshLeg(key, gateClients, soloGate, &waves);
 
-    const LegResult heavyLeg =
-        runLeg(key, heavy, soloHeavy, /*fuse=*/true, window);
+    const LegResult heavyLeg = freshLeg(key, heavy, soloHeavy);
 
-    // Low-session density legs: fan-out off vs on at 1 and 2 sessions,
-    // decode fused both ways — isolates what intra-frame ray-block
-    // fan-out buys when cross-session traffic is thin.
+    // ---- gates ------------------------------------------------------
+    // The serial baseline admits one session at a time with window 1
+    // and one block per frame.
+    LegResult serial;
+    PairedGain aggregate, fanout2;
+    {
+        Server serialSrv(key, kOneBlockPerFrame, gateSessions);
+        auto serialLeg = [&](const std::vector<ClientSpec> &clients,
+                             const std::vector<std::vector<Image>> &solo) {
+            return runLeg(serialSrv, clients, solo, /*window=*/1, nullptr,
+                          /*serializeClients=*/true);
+        };
+        serial = serialLeg(gateClients, soloGate);
+        {
+            Server srv(key, 0, gateClients.size());
+            aggregate = interleaved(
+                [&] { return serialLeg(gateClients, soloGate); },
+                [&] { return runLeg(srv, gateClients, soloGate, window); });
+        }
+        Server srv(key, 0, low.size());
+        fanout2 = interleaved(
+            [&] { return serialLeg(low, soloLow); },
+            [&] { return runLeg(srv, low, soloLow, window); });
+    }
     const std::vector<int> lowCounts{1, 2};
-    std::vector<LegResult> lowOff, lowOn;
+    std::vector<PairedGain> onVsOff;
     for (int s : lowCounts) {
-        std::vector<ClientSpec> clients(uniform.begin(),
-                                        uniform.begin() + s);
-        std::vector<std::vector<Image>> solo(soloUniform.begin(),
-                                             soloUniform.begin() + s);
-        lowOff.push_back(runLeg(key, clients, solo, /*fuse=*/true,
-                                window, /*fanOut=*/false));
-        lowOn.push_back(runLeg(key, clients, solo, /*fuse=*/true,
-                               window, /*fanOut=*/true));
+        const std::vector<ClientSpec> clients = first(low, s);
+        const std::vector<std::vector<Image>> solo = first(soloLow, s);
+        Server off(key, kOneBlockPerFrame, clients.size());
+        Server on(key, 0, clients.size());
+        onVsOff.push_back(interleaved(
+            [&] { return runLeg(off, clients, solo, window); },
+            [&] { return runLeg(on, clients, solo, window); }));
     }
 
     // ---- verdicts ---------------------------------------------------
-    bool allIdentical = serialUnfused.bitIdentical &&
-                        fp16Leg.bitIdentical && bursty.bitIdentical &&
-                        heavyLeg.bitIdentical;
+    bool allIdentical = serial.bitIdentical && fp16Leg.bitIdentical &&
+                        bursty.bitIdentical && heavyLeg.bitIdentical &&
+                        aggregate.bitIdentical && fanout2.bitIdentical;
     for (const LegResult &leg : uniformLegs)
         allIdentical = allIdentical && leg.bitIdentical;
-    for (std::size_t i = 0; i < lowCounts.size(); ++i)
-        allIdentical = allIdentical && lowOff[i].bitIdentical &&
-                       lowOn[i].bitIdentical;
+    for (const PairedGain &g : onVsOff)
+        allIdentical = allIdentical && g.bitIdentical;
 
-    double gateRaysPerS = 0.0;
-    for (std::size_t i = 0; i < sessionCounts.size(); ++i)
-        if (sessionCounts[i] == gateSessions)
-            gateRaysPerS = uniformLegs[i].raysPerS();
-    const double gain = serialUnfused.raysPerS() > 0.0
-                            ? gateRaysPerS / serialUnfused.raysPerS()
-                            : 0.0;
-    // The gain gate asserts a property of parallel hardware: with a
+    // The gain gates assert a property of parallel hardware: with a
     // single physical core, extra software threads only time-slice it
-    // and concurrent sessions cannot beat the serial baseline, so the
-    // gate arms only when both the pool and the machine are >= 2 wide.
+    // and concurrent sessions cannot beat the serial baseline, so they
+    // arm only when both the pool and the machine are >= 2 wide.
     const int threads = parallelThreadCount();
     const unsigned hwCores = std::thread::hardware_concurrency();
     const bool gateActive = threads >= 2 && hwCores >= 2;
-    const bool gainOk = !gateActive || gain >= 1.5;
-
-    // Fan-out gates (same multi-core arming as the 1.5x gate): at 1
-    // and 2 sessions fan-out must strictly raise both the average
-    // fused batch size and aggregate rays/s over fan-out off; the
-    // 2-session fan-out-on leg must reach 1.2x the serial-unfused
-    // baseline; and its fused batches must average > 1 block. The
-    // strict on-vs-off comparisons additionally require the pool to
-    // have spare threads beyond the off leg's own frame concurrency
-    // (sessions x window): with threads <= sessions x window the off
-    // leg already saturates the pool via window pipelining, fan-out
-    // cannot mechanically add parallelism, and the comparison is a
-    // coin flip on scheduler noise.
-    bool fanoutDenser = true;
-    bool fanoutFaster = true;
+    const bool gainOk = !gateActive || aggregate.median() >= 1.5;
+    const bool fanout2Ok = !gateActive || fanout2.median() >= 1.2;
+    std::vector<bool> onVsOffArmed, onVsOffOk;
     for (std::size_t i = 0; i < lowCounts.size(); ++i) {
-        if (threads <= lowCounts[i] * window)
-            continue;
-        fanoutDenser = fanoutDenser && lowOn[i].avgBatchSamples() >
-                                           lowOff[i].avgBatchSamples();
-        fanoutFaster =
-            fanoutFaster && lowOn[i].raysPerS() > lowOff[i].raysPerS();
+        onVsOffArmed.push_back(gateActive &&
+                               threads > lowCounts[i] * window);
+        onVsOffOk.push_back(!onVsOffArmed[i] || onVsOff[i].median() > 1.0);
     }
-    const double fanoutGain2 =
-        serialUnfused.raysPerS() > 0.0
-            ? lowOn.back().raysPerS() / serialUnfused.raysPerS()
-            : 0.0;
-    const bool batchDensityOk = lowOn.back().avgBatchBlocks() > 1.0;
     const bool fanoutOk =
-        !gateActive || (fanoutDenser && fanoutFaster &&
-                        fanoutGain2 >= 1.2 && batchDensityOk);
+        fanout2Ok && std::all_of(onVsOffOk.begin(), onVsOffOk.end(),
+                                 [](bool ok) { return ok; });
 
     // ---- JSON -------------------------------------------------------
     std::printf("{\"bench\": \"serve\", \"scheduler\": \"%s\", "
@@ -535,13 +600,12 @@ main(int argc, char **argv)
                 modelName(key.kind), res, frames, window,
                 soloWallS > 0.0 ? soloRays / soloWallS : 0.0);
 
-    std::printf("\"serial_unfused\": {\"sessions\": %d, "
+    std::printf("\"serial\": {\"sessions\": %d, "
                 "\"wall_s\": %.6f, \"rays_per_s\": %.1f, ",
-                gateSessions, serialUnfused.wallS,
-                serialUnfused.raysPerS());
-    printLatencies(serialUnfused.allLatencies());
+                gateSessions, serial.wallS, serial.raysPerS());
+    printLatencies(serial.allLatencies());
     std::printf(", \"bit_identical\": %s}, ",
-                serialUnfused.bitIdentical ? "true" : "false");
+                serial.bitIdentical ? "true" : "false");
 
     std::printf("\"uniform\": [");
     for (std::size_t i = 0; i < uniformLegs.size(); ++i) {
@@ -553,11 +617,9 @@ main(int argc, char **argv)
         printLatencies(leg.allLatencies());
         std::printf(", \"bit_identical\": %s, ",
                     leg.bitIdentical ? "true" : "false");
-        printFusion(leg.fusion);
-        std::printf(", ");
         printSched(leg.sched);
         std::printf(", ");
-        printRobust(leg.service, leg.fusion, leg.sched);
+        printRobust(leg.service, leg.sched);
         std::printf("}");
     }
     std::printf("], ");
@@ -566,10 +628,8 @@ main(int argc, char **argv)
                 "\"rays_per_s\": %.1f, ",
                 fp16Sessions, fp16Leg.wallS, fp16Leg.raysPerS());
     printLatencies(fp16Leg.allLatencies());
-    std::printf(", \"bit_identical\": %s, ",
+    std::printf(", \"bit_identical\": %s}, ",
                 fp16Leg.bitIdentical ? "true" : "false");
-    printFusion(fp16Leg.fusion);
-    std::printf("}, ");
 
     std::printf("\"bursty\": {\"sessions\": %d, \"waves\": 2, "
                 "\"wall_s\": %.6f, \"rays_per_s\": %.1f, ",
@@ -577,25 +637,6 @@ main(int argc, char **argv)
     printLatencies(bursty.allLatencies());
     std::printf(", \"bit_identical\": %s}, ",
                 bursty.bitIdentical ? "true" : "false");
-
-    std::printf("\"low_session\": [");
-    for (std::size_t i = 0; i < lowCounts.size(); ++i) {
-        std::printf("%s{\"sessions\": %d", i ? ", " : "", lowCounts[i]);
-        const char *names[2] = {"fanout_off", "fanout_on"};
-        const LegResult *legs[2] = {&lowOff[i], &lowOn[i]};
-        for (int v = 0; v < 2; ++v) {
-            std::printf(", \"%s\": {\"wall_s\": %.6f, "
-                        "\"rays_per_s\": %.1f, ",
-                        names[v], legs[v]->wallS, legs[v]->raysPerS());
-            printLatencies(legs[v]->allLatencies());
-            std::printf(", \"bit_identical\": %s, ",
-                        legs[v]->bitIdentical ? "true" : "false");
-            printFusion(legs[v]->fusion);
-            std::printf("}");
-        }
-        std::printf("}");
-    }
-    std::printf("], ");
 
     std::printf("\"heavy_tailed\": {\"sessions\": %d, "
                 "\"elephant_frames\": %d, \"wall_s\": %.6f, "
@@ -616,19 +657,28 @@ main(int argc, char **argv)
     std::printf(", \"bit_identical\": %s}, ",
                 heavyLeg.bitIdentical ? "true" : "false");
 
+    std::printf("\"gates\": {");
+    printGain("aggregate_8_sessions", aggregate, 1.5, gateActive, gainOk);
+    std::printf(", ");
+    printGain("fanout_2_sessions", fanout2, 1.2, gateActive, fanout2Ok);
+    for (std::size_t i = 0; i < lowCounts.size(); ++i) {
+        const std::string name =
+            "fanout_on_vs_off_" + std::to_string(lowCounts[i]);
+        std::printf(", ");
+        printGain(name.c_str(), onVsOff[i], 1.0, onVsOffArmed[i],
+                  onVsOffOk[i]);
+    }
+    std::printf("}, ");
+
     std::printf("\"aggregate_gain_8_sessions\": %.3f, "
                 "\"gain_gate_active\": %s, "
                 "\"gain_gate_pass\": %s, "
                 "\"fanout_gain_2_sessions\": %.3f, "
-                "\"fanout_avg_batch_blocks_2_sessions\": %.2f, "
-                "\"batch_density_ok\": %s, "
                 "\"fanout_gate_active\": %s, "
                 "\"fanout_gate_pass\": %s, "
                 "\"all_bit_identical\": %s}\n",
-                gain, gateActive ? "true" : "false",
-                gainOk ? "true" : "false", fanoutGain2,
-                lowOn.back().avgBatchBlocks(),
-                batchDensityOk ? "true" : "false",
+                aggregate.median(), gateActive ? "true" : "false",
+                gainOk ? "true" : "false", fanout2.median(),
                 gateActive ? "true" : "false",
                 fanoutOk ? "true" : "false",
                 allIdentical ? "true" : "false");

@@ -50,7 +50,7 @@ namespace cicero {
 enum class FaultSite : int
 {
     TaskExec = 0,    //!< scheduler task body (common/parallel.cc)
-    MlpDecode,       //!< batched MLP decode entry (nerf/decoder.cc)
+    MlpDecode,       //!< Decoder::decodeBatchSoA entry, once per ray block
     TraceRead,       //!< .ctrace container parse (memory/tracefile.cc)
     TraceWrite,      //!< .ctrace container finalize/write
     TraceFlush,      //!< TraceSink::onFlush persistence path

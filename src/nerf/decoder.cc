@@ -172,6 +172,7 @@ Decoder::decodeBatchSoA(const float *features, std::size_t featureStride,
                         int count, const Vec3 &viewDir,
                         DecodedSample *out) const
 {
+    faultCheck(FaultSite::MlpDecode);
     if (count <= 0)
         return;
     const Vec3 viewNorm = viewDir.normalized();
@@ -179,106 +180,6 @@ Decoder::decodeBatchSoA(const float *features, std::size_t featureStride,
         decodeChunk(features + b0, featureStride,
                     std::min(kDecodeChunk, count - b0), viewDir, viewNorm,
                     out + b0);
-}
-
-void
-Decoder::decodeBlocksFused(const DecodeBlock *blocks, int numBlocks) const
-{
-    faultCheck(FaultSite::MlpDecode);
-
-    constexpr int inDim = kFeatureDim + 3;
-    thread_local std::vector<float> mlpIn(
-        static_cast<std::size_t>(inDim) * kDecodeChunk);
-    thread_local std::vector<float> mlpOut(
-        static_cast<std::size_t>(4) * kDecodeChunk);
-
-    int b = 0;
-    while (b < numBlocks) {
-        // Greedily pack consecutive blocks into one staging pass. A
-        // single block wider than the staging buffer goes through the
-        // chunked per-block path instead (its internal chunking
-        // preserves sample order, so bits are unchanged).
-        int total = 0;
-        int e = b;
-        while (e < numBlocks &&
-               total + blocks[e].count <= kDecodeChunk &&
-               blocks[e].count > 0) {
-            total += blocks[e].count;
-            ++e;
-        }
-        if (e == b) {
-            const DecodeBlock &blk = blocks[b];
-            if (blk.count > 0)
-                decodeBatchSoA(blk.features, blk.featureStride, blk.count,
-                               blk.viewDir, blk.out);
-            ++b;
-            continue;
-        }
-
-        // Stage: each block's feature channels copied into the packed
-        // channel-major layout, its normalized view direction broadcast
-        // into the three direction channels of its own columns.
-        const std::size_t n = static_cast<std::size_t>(total);
-        std::size_t off = 0;
-        for (int k = b; k < e; ++k) {
-            const DecodeBlock &blk = blocks[k];
-            for (int c = 0; c < kFeatureDim; ++c) {
-                const float *src =
-                    blk.features +
-                    static_cast<std::size_t>(c) * blk.featureStride;
-                float *dst = mlpIn.data() +
-                             static_cast<std::size_t>(c) * n + off;
-                for (int j = 0; j < blk.count; ++j)
-                    dst[j] = src[j];
-            }
-            const Vec3 v = blk.viewDir.normalized();
-            for (int j = 0; j < blk.count; ++j) {
-                mlpIn[(kFeatureDim + 0) * n + off + j] = v.x;
-                mlpIn[(kFeatureDim + 1) * n + off + j] = v.y;
-                mlpIn[(kFeatureDim + 2) * n + off + j] = v.z;
-            }
-            off += static_cast<std::size_t>(blk.count);
-        }
-
-        // One MLP pass for every fused block.
-        _mlp.forwardBatch(mlpIn.data(), mlpOut.data(), total);
-
-        // Per-block epilogue — identical per-sample math to
-        // decodeChunk(), reading the staged copies (same bits as the
-        // source buffers).
-        off = 0;
-        for (int k = b; k < e; ++k) {
-            const DecodeBlock &blk = blocks[k];
-            float feature[kFeatureDim];
-            for (int j = 0; j < blk.count; ++j) {
-                for (int c = 0; c < kFeatureDim; ++c)
-                    feature[c] =
-                        mlpIn[static_cast<std::size_t>(c) * n + off + j];
-                BakedPoint pt = decodeBakedFeature(feature);
-
-                DecodedSample d;
-                d.sigma = pt.sigma;
-                if (pt.sigma > 0.0f) {
-                    d.rgb = shadePoint(pt, blk.viewDir, _lightDir);
-                    d.rgb.x = clamp(d.rgb.x + _residualAmp *
-                                                  std::tanh(mlpOut[1 * n +
-                                                                   off + j]),
-                                    0.0f, 1.0f);
-                    d.rgb.y = clamp(d.rgb.y + _residualAmp *
-                                                  std::tanh(mlpOut[2 * n +
-                                                                   off + j]),
-                                    0.0f, 1.0f);
-                    d.rgb.z = clamp(d.rgb.z + _residualAmp *
-                                                  std::tanh(mlpOut[3 * n +
-                                                                   off + j]),
-                                    0.0f, 1.0f);
-                }
-                blk.out[j] = d;
-            }
-            off += static_cast<std::size_t>(blk.count);
-        }
-        b = e;
-    }
 }
 
 void

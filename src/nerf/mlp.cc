@@ -193,8 +193,7 @@ Mlp::forwardBatch(const float *in, float *out, int count) const
         return;
 
     // Measured batch density: every pass notes its width so benches
-    // can report how full the kernel actually ran (fused serve blocks
-    // should push this well past the solo block sizes).
+    // can report how full the kernel actually ran.
     parallelNoteKernelBatch(static_cast<std::uint64_t>(count));
 
     // Scratch lives in TLS so concurrent forward passes on one model

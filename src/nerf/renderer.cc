@@ -17,8 +17,8 @@ namespace {
  * consumes; geometric growth keeps that waste below one small block
  * while long rays still reach the wide, vectorizing block size.
  */
-constexpr int kFirstDecodeBlock = 8;
-constexpr int kMaxDecodeBlock = 64;
+constexpr int kFirstSampleBlock = 8;
+constexpr int kMaxSampleBlock = 64;
 
 /**
  * Run @p fn(work, begin, end) over chunks of [0, n) and fold the
@@ -63,7 +63,7 @@ void
 NerfModel::renderOne(const Camera &camera, int px, int py,
                      std::uint32_t rayId, Vec3 &rgbOut, float &depthOut,
                      StageWork &work, TraceSink *trace,
-                     BakedPoint *gbufOut, DecodeSink *decodeSink) const
+                     BakedPoint *gbufOut) const
 {
     thread_local std::vector<RaySample> samples;
     thread_local std::vector<MemAccess> accessBuf;
@@ -120,19 +120,19 @@ NerfModel::renderOne(const Camera &camera, int px, int py,
     // order — accesses of samples past the early-termination point are
     // never emitted, matching the scalar walk byte-for-byte.
     if (featureBuf.size() <
-        static_cast<std::size_t>(kMaxDecodeBlock) * kFeatureDim) {
+        static_cast<std::size_t>(kMaxSampleBlock) * kFeatureDim) {
         featureBuf.resize(
-            static_cast<std::size_t>(kMaxDecodeBlock) * kFeatureDim);
-        decodedBuf.resize(kMaxDecodeBlock);
-        posBuf.resize(kMaxDecodeBlock);
+            static_cast<std::size_t>(kMaxSampleBlock) * kFeatureDim);
+        decodedBuf.resize(kMaxSampleBlock);
+        posBuf.resize(kMaxSampleBlock);
     }
     const std::uint32_t accessesPerSample =
         trace ? _encoding->fetchesPerSample() : 0;
 
-    int block = kFirstDecodeBlock;
+    int block = kFirstSampleBlock;
     bool stopped = false;
     for (int base = 0; base < n && !stopped; base += block,
-             block = std::min(2 * block, kMaxDecodeBlock)) {
+             block = std::min(2 * block, kMaxSampleBlock)) {
         const int m = std::min(block, n - base);
         for (int j = 0; j < m; ++j)
             posBuf[j] = samples[base + j].pn;
@@ -148,12 +148,8 @@ NerfModel::renderOne(const Camera &camera, int px, int py,
         // without any transposition.
         float *feats = featureBuf.data();
         _encoding->gatherFeatureBatch(posBuf.data(), m, feats);
-        if (decodeSink)
-            decodeSink->decodeBlock(feats, static_cast<std::size_t>(m),
-                                    m, ray.dir, decodedBuf.data());
-        else
-            _decoder.decodeBatchSoA(feats, static_cast<std::size_t>(m),
-                                    m, ray.dir, decodedBuf.data());
+        _decoder.decodeBatchSoA(feats, static_cast<std::size_t>(m), m,
+                                ray.dir, decodedBuf.data());
 
         for (int j = 0; j < m; ++j) {
             const RaySample &s = samples[base + j];
@@ -299,27 +295,13 @@ NerfModel::render(const Camera &camera, TraceSink *trace,
     return out;
 }
 
-RenderResult
-NerfModel::renderServe(const Camera &camera, DecodeSink *sink) const
-{
-    RenderResult out;
-    out.image = Image(camera.width, camera.height);
-    out.depth = DepthMap(camera.width, camera.height);
-    out.work = renderServeRows(camera, 0, camera.height, out.image,
-                               out.depth, sink);
-    return out;
-}
-
 StageWork
 NerfModel::renderServeRows(const Camera &camera, int rowBegin,
-                           int rowEnd, Image &image, DepthMap &depth,
-                           DecodeSink *sink) const
+                           int rowEnd, Image &image,
+                           DepthMap &depth) const
 {
-    // Serial pixel walk on the calling thread over [rowBegin, rowEnd).
-    // Same traversal order and per-ray math as render(); only the
-    // decode call site differs (routed through the sink). Per-ray
-    // decode blocking lives inside renderOne, so composing disjoint
-    // row ranges reproduces renderServe bit-for-bit.
+    // Serial pixel walk on the calling thread over [rowBegin, rowEnd),
+    // in render()'s traversal order and per-ray math.
     StageWork work;
     const int W = camera.width;
     for (int py = rowBegin; py < rowEnd; ++py) {
@@ -327,8 +309,7 @@ NerfModel::renderServeRows(const Camera &camera, int rowBegin,
         for (int px = 0; px < W; ++px, ++rayId) {
             Vec3 rgb;
             float d;
-            renderOne(camera, px, py, rayId, rgb, d, work, nullptr,
-                      nullptr, sink);
+            renderOne(camera, px, py, rayId, rgb, d, work, nullptr);
             image.at(px, py) = rgb;
             depth.at(px, py) = d;
         }

@@ -10,12 +10,6 @@ SharedModelCache::Lease::model() const
     return *_entry->model;
 }
 
-FusedDecodeQueue &
-SharedModelCache::Lease::fusion() const
-{
-    return *_entry->fusion;
-}
-
 const ModelKey &
 SharedModelCache::Lease::key() const
 {
@@ -65,8 +59,6 @@ SharedModelCache::acquire(const ModelKey &key)
             entry->model = buildModel(key.kind, scene, opts);
             if (key.fp16)
                 entry->model->quantizeFp16();
-            entry->fusion = std::make_unique<FusedDecodeQueue>(
-                entry->model->decoder());
             entry->built = true;
         }
     }
@@ -79,8 +71,6 @@ SharedModelCache::releaseEntry(Entry *entry)
     std::lock_guard<std::mutex> lock(_mu);
     if (--entry->refs > 0)
         return;
-    if (entry->fusion)
-        _retiredFusion += entry->fusion->stats();
     ++_stats.evictions;
     _entries.erase(entry->key);
 }
@@ -97,17 +87,6 @@ SharedModelCache::liveEntries() const
 {
     std::lock_guard<std::mutex> lock(_mu);
     return _entries.size();
-}
-
-FusionStats
-SharedModelCache::fusionStatsTotal() const
-{
-    std::lock_guard<std::mutex> lock(_mu);
-    FusionStats total = _retiredFusion;
-    for (const auto &kv : _entries)
-        if (kv.second->fusion)
-            total += kv.second->fusion->stats();
-    return total;
 }
 
 } // namespace cicero

@@ -4,9 +4,8 @@
  *
  * N sessions of the same scene/model configuration share ONE baked
  * NerfModel instance (the encoding is immutable after bake; every
- * render entry point is const) and one FusedDecodeQueue, so resident
- * footprint and fused-decode opportunity both scale with *distinct*
- * models, not with sessions. Entries are refcounted through move-only
+ * render entry point is const), so resident footprint scales with
+ * *distinct* models, not with sessions. Entries are refcounted through move-only
  * Lease handles: the first acquire of a key builds and bakes the
  * model (expensive — seconds at Full preset), later acquires bump the
  * refcount, and the last release evicts the entry. fp16 and fp32
@@ -22,9 +21,9 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <tuple>
 
 #include "nerf/models.hh"
-#include "serve/fused_decode_queue.hh"
 
 namespace cicero {
 
@@ -89,13 +88,6 @@ class SharedModelCache
     std::size_t liveEntries() const;
 
     /**
-     * Fusion counters summed over live entries *and* entries already
-     * evicted (their totals are folded into a retired accumulator at
-     * eviction, so a finished session's fusion work stays visible).
-     */
-    FusionStats fusionStatsTotal() const;
-
-    /**
      * RAII share of one cached model. Move-only; releasing the last
      * lease of a key evicts and destroys the model.
      */
@@ -126,7 +118,6 @@ class SharedModelCache
         explicit operator bool() const { return _entry != nullptr; }
 
         const NerfModel &model() const;
-        FusedDecodeQueue &fusion() const;
         const ModelKey &key() const;
 
         /** Drop the share now (idempotent). */
@@ -153,7 +144,6 @@ class SharedModelCache
         int refs = 0;
         bool built = false;
         std::unique_ptr<NerfModel> model;
-        std::unique_ptr<FusedDecodeQueue> fusion;
         std::mutex buildMu; //!< serializes the one-time build
     };
     using Entry = Lease::Entry;
@@ -163,7 +153,6 @@ class SharedModelCache
     mutable std::mutex _mu;
     std::map<ModelKey, std::unique_ptr<Entry>> _entries;
     ModelCacheStats _stats;
-    FusionStats _retiredFusion;
 };
 
 } // namespace cicero

@@ -42,7 +42,6 @@ struct RenderService::Session
     ServeSessionConfig cfg;
     int window = 1;
     SharedModelCache::Lease lease;
-    std::unique_ptr<FusedDecodeQueue::SessionSink> sink;
     TaskGroup group;
 
     int maxRetries = 0;     //!< resolved per-frame retry budget
@@ -51,8 +50,7 @@ struct RenderService::Session
 
     /**
      * Row ranges [first, second) of the frame's ray-block tasks —
-     * identical for every frame of the session (one entry spanning
-     * the whole frame when fan-out is off).
+     * identical for every frame of the session.
      */
     std::vector<std::pair<int, int>> blocks;
 
@@ -186,14 +184,6 @@ RenderService::setupSession(const std::shared_ptr<Session> &s,
 {
     s->cfg = config;
     s->lease = _cache.acquire(config.model);
-    if (_config.fuseDecode) {
-        s->sink = std::make_unique<FusedDecodeQueue::SessionSink>(
-            &s->lease.fusion(), s->id);
-        // QoS: a premium session's ray blocks earn a larger share of
-        // each fused batch (weighted deficit round-robin).
-        s->lease.fusion().setSessionWeight(
-            s->id, std::max(1, config.qosWeight));
-    }
 
     const int n = static_cast<int>(config.trajectory.size());
     int window = config.inflightWindow > 0 ? config.inflightWindow
@@ -216,20 +206,15 @@ RenderService::setupSession(const std::shared_ptr<Session> &s,
     // Intra-frame ray-block decomposition: contiguous row ranges,
     // identical for every frame. Auto-sizing targets ~2x the pool's
     // thread count blocks per frame — enough slack for load balancing
-    // and for same-frame blocks to meet in the fusion queue, without
-    // drowning the scheduler in tiny tasks. Fan-out off = one block
-    // spanning the frame (the whole frame renders on one worker).
+    // without drowning the scheduler in tiny tasks.
     {
         const int H = config.height;
-        int rowsPer = H;
-        if (_config.intraFrameFanOut) {
-            if (_config.fanOutBlockRows > 0) {
-                rowsPer = std::min(_config.fanOutBlockRows, H);
-            } else {
-                const int targetTasks =
-                    std::max(1, 2 * parallelThreadCount());
-                rowsPer = std::max(1, (H + targetTasks - 1) / targetTasks);
-            }
+        int rowsPer;
+        if (_config.fanOutBlockRows > 0) {
+            rowsPer = std::min(_config.fanOutBlockRows, H);
+        } else {
+            const int targetTasks = std::max(1, 2 * parallelThreadCount());
+            rowsPer = std::max(1, (H + targetTasks - 1) / targetTasks);
         }
         s->blocks.clear();
         for (int r0 = 0; r0 < H; r0 += rowsPer)
@@ -249,8 +234,7 @@ RenderService::setupSession(const std::shared_ptr<Session> &s,
     // one-thread pool runnable tasks execute inline right here in
     // submission order (blocks, then finalize, frame by frame), so
     // admit() of a later session sees earlier sessions already done;
-    // with workers one frame's blocks spread across the pool and
-    // their decode submissions fuse in the queue. Lambdas capture the
+    // with workers one frame's blocks spread across the pool. Lambdas capture the
     // session by raw pointer on purpose: the captures stay trivially
     // destructible, so a worker retiring a task cannot run the
     // session destructor (see the Session doc).
@@ -319,7 +303,7 @@ RenderService::setupSession(const std::shared_ptr<Session> &s,
                             s->cfg.trajectory[f]);
                         work = s->lease.model().renderServeRows(
                             cam, r0, r1, s->frames[f].image,
-                            s->frames[f].depth, s->sink.get());
+                            s->frames[f].depth);
                         break;
                     } catch (...) {
                         err = std::current_exception();
@@ -436,8 +420,6 @@ RenderService::setupSession(const std::shared_ptr<Session> &s,
                 if (sessionDone)
                     --_active;
             }
-            if (sessionDone && s->sink)
-                s->lease.fusion().releaseSession(s->id);
         };
         frameDone[f] = s->group.runAfter(blockHandles, finalize);
     }
@@ -547,24 +529,8 @@ RenderService::activeSessions() const
 ServiceCounters
 RenderService::counters() const
 {
-    ServiceCounters out;
-    {
-        std::lock_guard<std::mutex> lock(_mu);
-        out = _counters;
-    }
-    // Fused-batch density, derived from the model cache's fusion
-    // totals (live + retired entries): how full the decode kernel ran.
-    const FusionStats fusion = _cache.fusionStatsTotal();
-    out.decodeKernelPasses = fusion.passes;
-    if (fusion.passes > 0) {
-        out.avgBatchSamples = static_cast<double>(fusion.samples) /
-                              static_cast<double>(fusion.passes);
-        out.avgBatchBlocks = static_cast<double>(fusion.blocks) /
-                             static_cast<double>(fusion.passes);
-    }
-    out.maxBatchSamples = fusion.maxBatchSamples;
-    out.maxBatchBlocks = fusion.maxBatchBlocks;
-    return out;
+    std::lock_guard<std::mutex> lock(_mu);
+    return _counters;
 }
 
 } // namespace cicero

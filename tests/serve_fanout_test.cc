@@ -3,15 +3,13 @@
  * Tests for intra-frame ray-block fan-out in the render service: a
  * served frame split into contiguous ray-block tasks must stay
  * bit-identical to a solo render at any thread count and block size,
- * same-frame blocks must feed the fused decode queue, per-session QoS
- * weights must reach the fusion deficit round-robin, and the fault
- * paths (decode faults inside blocks, per-session quarantine) must
- * keep their graceful-degradation semantics under fan-out.
+ * and the fault paths (decode faults inside blocks, per-session
+ * quarantine) must keep their graceful-degradation semantics under
+ * fan-out.
  */
 
 #include <gtest/gtest.h>
 
-#include <thread>
 #include <vector>
 
 #include "common/fault.hh"
@@ -71,7 +69,6 @@ TEST(ServeFanoutTest, FramesBitIdenticalToSoloAtAnyThreadCount)
     // four full blocks plus a 4-row tail, exercising the remainder
     // path at every thread count.
     RenderServiceConfig cfg;
-    cfg.intraFrameFanOut = true;
     cfg.fanOutBlockRows = 5;
     RenderService svc(cfg);
 
@@ -108,93 +105,12 @@ TEST(ServeFanoutTest, FramesBitIdenticalToSoloAtAnyThreadCount)
     }
 }
 
-TEST(ServeFanoutTest, SameFrameBlocksFeedTheFusedQueue)
-{
-    ThreadCountGuard guard;
-    setParallelThreadCount(4);
-
-    RenderServiceConfig cfg;
-    cfg.intraFrameFanOut = true;
-    cfg.fanOutBlockRows = 2; // 32 rows -> 16 block tasks per frame
-    RenderService svc(cfg);
-
-    ServeSessionConfig sc;
-    sc.model = tinyKey();
-    sc.width = 32;
-    sc.height = 32;
-    sc.trajectory = orbit(2);
-
-    ServeSessionResult r = svc.wait(svc.admit(sc));
-    ASSERT_EQ(r.frames.size(), 2u);
-
-    // Decode traffic flowed through the fused queue, and the density
-    // counters derived from it are coherent.
-    const FusionStats fu = svc.cache().fusionStatsTotal();
-    EXPECT_GT(fu.blocks, 0u);
-    EXPECT_GT(fu.passes, 0u);
-    EXPECT_GE(fu.blocks, fu.passes);
-
-    const ServiceCounters c = svc.counters();
-    EXPECT_EQ(c.decodeKernelPasses, fu.passes);
-    EXPECT_GT(c.avgBatchSamples, 0.0);
-    EXPECT_GE(c.avgBatchBlocks, 1.0);
-    EXPECT_GE(c.maxBatchSamples, 1u);
-
-    // With real parallel hardware the concurrent same-session block
-    // tasks must actually fuse. A single-core machine only time-slices
-    // the pool, so concurrent submitters are rare there and fusion is
-    // best-effort, like the perf gates in bench_serve.
-    if (std::thread::hardware_concurrency() >= 2)
-        EXPECT_GE(fu.fusedPasses, 1u);
-}
-
-TEST(ServeFanoutTest, QosWeightReachesFusionStats)
-{
-    ThreadCountGuard guard;
-    setParallelThreadCount(4);
-
-    const int res = 24;
-    const int frames = 2;
-    RenderService svc;
-
-    SharedModelCache::Lease pin = svc.cache().acquire(tinyKey());
-    const Scene &scene = pin.model().scene();
-    std::vector<std::vector<Image>> solo(2);
-    for (int i = 0; i < 2; ++i)
-        for (const Pose &pose : orbit(frames, 25.0f * i)) {
-            Camera cam = Camera::fromFov(res, res, scene.fovYDeg, pose);
-            solo[i].push_back(pin.model().render(cam).image);
-        }
-
-    std::vector<int> ids(2);
-    for (int i = 0; i < 2; ++i) {
-        ServeSessionConfig sc;
-        sc.model = tinyKey();
-        sc.width = res;
-        sc.height = res;
-        sc.trajectory = orbit(frames, 25.0f * i);
-        sc.qosWeight = i == 0 ? 4 : 1; // session 0 is premium
-        ids[i] = svc.admit(sc);
-    }
-    for (int i = 0; i < 2; ++i) {
-        ServeSessionResult r = svc.wait(ids[i]);
-        ASSERT_EQ(r.frames.size(), static_cast<std::size_t>(frames));
-        // Weighting reorders the round-robin, never the bits.
-        for (int f = 0; f < frames; ++f)
-            EXPECT_EQ(mismatchedPixels(r.frames[f].image, solo[i][f]), 0)
-                << "session " << i << " frame " << f;
-    }
-
-    EXPECT_GE(svc.cache().fusionStatsTotal().weightedSessions, 1u);
-}
-
 TEST(ServeFanoutTest, DecodeFaultInsideBlocksStaysBitIdentical)
 {
     ThreadCountGuard guard;
     setParallelThreadCount(4);
 
     RenderServiceConfig cfg;
-    cfg.intraFrameFanOut = true;
     cfg.fanOutBlockRows = 2;
     cfg.retryBackoffS = 1e-6;
     RenderService svc(cfg);
@@ -213,11 +129,9 @@ TEST(ServeFanoutTest, DecodeFaultInsideBlocksStaysBitIdentical)
             solo[i].push_back(pin.model().render(cam).image);
         }
 
-    // One decode pass dies somewhere inside the fanned-out block
-    // tasks. Either the fused queue's split-retry absorbs it (a fused
-    // pass re-decoded block-by-block) or, for a lone-block pass, the
-    // error surfaces and the frame-level retry recovers — both paths
-    // must end bit-identical.
+    // One ray block's decode dies somewhere inside the fanned-out block
+    // tasks. The error surfaces from that block task and the frame
+    // retry re-renders the block's rows, bit-identical.
     FaultScope scope("mlp_decode:count=1");
     std::vector<int> ids(2);
     for (int i = 0; i < 2; ++i) {
@@ -236,9 +150,9 @@ TEST(ServeFanoutTest, DecodeFaultInsideBlocksStaysBitIdentical)
                 << "session " << i << " frame " << f;
     }
 
+    // Exactly one decode call fired, so exactly one block retried once.
     const ServiceCounters c = svc.counters();
-    const FusionStats fu = svc.cache().fusionStatsTotal();
-    EXPECT_GE(c.frameRetries + fu.splitRetries, 1u);
+    EXPECT_EQ(c.frameRetries, 1u);
     EXPECT_EQ(c.framesFailed, 0u);
     EXPECT_EQ(c.quarantinedSessions, 0u);
 }
@@ -249,7 +163,6 @@ TEST(ServeFanoutTest, RenderFaultQuarantinesOnlyTheFaultySession)
     setParallelThreadCount(4);
 
     RenderServiceConfig cfg;
-    cfg.intraFrameFanOut = true;
     cfg.fanOutBlockRows = 4;
     cfg.quarantineThreshold = 2;
     cfg.retryBackoffS = 1e-6;

@@ -1,11 +1,10 @@
 /**
  * @file
- * Graceful-degradation tests for the render service and the fused
- * decode queue, driven by the deterministic fault-injection framework:
- * transient-fault retry, session quarantine with fault isolation
- * (healthy sessions stay bit-identical to solo), waitFrameFor
- * timeouts, overload shedding, deadline marking, and the fused queue's
- * split-retry fallback.
+ * Graceful-degradation tests for the render service, driven by the
+ * deterministic fault-injection framework: transient-fault retry,
+ * session quarantine with fault isolation (healthy sessions stay
+ * bit-identical to solo), a decode fault past the retry budget,
+ * waitFrameFor timeouts, overload shedding and deadline marking.
  */
 
 #include <gtest/gtest.h>
@@ -15,10 +14,8 @@
 
 #include "common/fault.hh"
 #include "common/parallel.hh"
-#include "common/simd.hh"
 #include "scene/trajectory.hh"
 #include "serve/render_service.hh"
-#include "test_util.hh"
 
 namespace cicero {
 namespace {
@@ -44,27 +41,6 @@ orbit(int frames, float startDeg = 0.0f)
     OrbitParams params;
     params.startDeg = startDeg;
     return orbitTrajectory(params, frames);
-}
-
-/** Channel-major features for @p count synthetic baked points. */
-std::vector<float>
-blockFeatures(int count, int salt)
-{
-    std::vector<float> aos(static_cast<std::size_t>(count) * kFeatureDim);
-    for (int b = 0; b < count; ++b) {
-        BakedPoint pt;
-        pt.sigma = ((b + salt) % 5 == 0) ? 0.0f : 0.8f + 0.3f * b;
-        pt.diffuse = {0.07f * ((b + salt) % 13), 0.4f, 0.9f - 0.02f * b};
-        pt.normal =
-            Vec3{0.1f * (salt % 7), 1.0f, 0.05f * b}.normalized();
-        pt.specular = 0.03f * ((b + salt) % 9);
-        pt.shininess = 3.0f + (b % 11);
-        encodeBakedPoint(pt, aos.data() + b * kFeatureDim);
-    }
-    std::vector<float> soa(aos.size());
-    simd::transposeToChannelMajor(aos.data(), count, kFeatureDim,
-                                  soa.data());
-    return soa;
 }
 
 /** Pixel-exact image comparison. */
@@ -192,6 +168,53 @@ TEST(ServeRobustnessTest, QuarantineIsolatesFailingSession)
     EXPECT_EQ(c.frameRetries, 2u);   // one retry per failed frame
 }
 
+TEST(ServeRobustnessTest, DecodeFaultPastRetryBudgetFailsOnlyItsFrame)
+{
+    ThreadCountGuard guard;
+    setParallelThreadCount(1); // frames render inline, in order, at admit
+
+    RenderService svc;
+    ServeSessionConfig sc;
+    sc.model = tinyKey();
+    sc.width = 16;
+    sc.height = 16;
+    sc.trajectory = orbit(2);
+    sc.inflightWindow = 1;
+
+    SharedModelCache::Lease pin = svc.cache().acquire(tinyKey());
+    std::vector<Image> solo;
+    for (const Pose &pose : sc.trajectory) {
+        Camera cam = Camera::fromFov(sc.width, sc.height,
+                                     pin.model().scene().fovYDeg, pose);
+        solo.push_back(pin.model().render(cam).image);
+    }
+
+    // The first three decode calls fail: frame 0's first block fails
+    // its attempt and both retries (the default budget of 2); every
+    // later decode succeeds.
+    FaultScope scope("mlp_decode:count=3");
+    const int bad = svc.admit(sc);
+    const int good = svc.admit(sc);
+
+    EXPECT_THROW(svc.waitFrame(bad, 0), FaultInjectedError);
+    EXPECT_EQ(mismatchedPixels(svc.waitFrame(bad, 1).image, solo[1]), 0);
+    EXPECT_FALSE(svc.sessionQuarantined(bad));
+    EXPECT_THROW(svc.wait(bad), FaultInjectedError);
+
+    ServeSessionResult r = svc.wait(good);
+    ASSERT_EQ(r.frames.size(), 2u);
+    for (int f = 0; f < 2; ++f) {
+        EXPECT_EQ(r.frames[f].retries, 0) << "frame " << f;
+        EXPECT_EQ(mismatchedPixels(r.frames[f].image, solo[f]), 0)
+            << "frame " << f;
+    }
+
+    const ServiceCounters c = svc.counters();
+    EXPECT_EQ(c.framesFailed, 1u);
+    EXPECT_EQ(c.frameRetries, 2u);
+    EXPECT_EQ(c.quarantinedSessions, 0u);
+}
+
 TEST(ServeRobustnessTest, WaitFrameForTimesOutThenDelivers)
 {
     ThreadCountGuard guard;
@@ -263,6 +286,19 @@ TEST(ServeRobustnessTest, OverloadSheddingDownsamplesAdmissions)
     ServeSessionResult rd = svc.wait(svc.admit(one));
     EXPECT_FALSE(rd.downsampled);
     EXPECT_EQ(rd.frames[0].image.pixelCount(), 32u * 32u);
+
+    // Shed frames are a solo render at the reduced size, bit for bit.
+    setParallelThreadCount(1);
+    SharedModelCache::Lease pin = svc.cache().acquire(tinyKey());
+    ASSERT_EQ(rc.frames.size(), sc.trajectory.size());
+    for (std::size_t f = 0; f < rc.frames.size(); ++f) {
+        Camera cam = Camera::fromFov(16, 16, pin.model().scene().fovYDeg,
+                                     sc.trajectory[f]);
+        EXPECT_EQ(mismatchedPixels(rc.frames[f].image,
+                                   pin.model().render(cam).image),
+                  0)
+            << "frame " << f;
+    }
 }
 
 TEST(ServeRobustnessTest, DeadlinesMarkLateFramesWithoutCorruption)
@@ -307,82 +343,6 @@ TEST(ServeRobustnessTest, DeadlinesMarkLateFramesWithoutCorruption)
         misses += frame.deadlineMiss ? 1 : 0;
     EXPECT_EQ(misses, 1);
     EXPECT_EQ(svc2.counters().deadlineMisses, 1u);
-}
-
-TEST(ServeRobustnessTest, FusedQueueSplitRetryIsolatesBatchFault)
-{
-    Scene scene = test::tinyScene();
-    Decoder decoder(scene.field.lightDir());
-    FusedDecodeQueue queue(decoder);
-
-    const int counts[2] = {12, 9};
-    std::vector<std::vector<float>> feats;
-    std::vector<Vec3> dirs;
-    std::vector<std::vector<DecodedSample>> out(2), ref(2);
-    for (int i = 0; i < 2; ++i) {
-        feats.push_back(blockFeatures(counts[i], i + 1));
-        dirs.push_back(Vec3{0.1f * i - 0.2f, 0.3f, -1.0f}.normalized());
-        out[i].resize(counts[i]);
-        ref[i].resize(counts[i]);
-        decoder.decodeBatchSoA(feats[i].data(),
-                               static_cast<std::size_t>(counts[i]),
-                               counts[i], dirs[i], ref[i].data());
-    }
-
-    DecodeBlock blocks[2];
-    for (int i = 0; i < 2; ++i) {
-        blocks[i].features = feats[i].data();
-        blocks[i].featureStride = static_cast<std::size_t>(counts[i]);
-        blocks[i].count = counts[i];
-        blocks[i].viewDir = dirs[i];
-        blocks[i].out = out[i].data();
-    }
-
-    // The fused pass dies (count=1 consumes the window); both solo
-    // retries then succeed, so the submitter sees no error at all and
-    // the results are still bit-identical.
-    {
-        FaultScope scope("mlp_decode:count=1");
-        queue.decodeBlocks(/*session=*/0, blocks, 2);
-    }
-    for (int i = 0; i < 2; ++i)
-        for (int b = 0; b < counts[i]; ++b) {
-            ASSERT_EQ(out[i][b].sigma, ref[i][b].sigma)
-                << "block " << i << " sample " << b;
-            ASSERT_EQ(out[i][b].rgb.x, ref[i][b].rgb.x);
-            ASSERT_EQ(out[i][b].rgb.y, ref[i][b].rgb.y);
-            ASSERT_EQ(out[i][b].rgb.z, ref[i][b].rgb.z);
-        }
-    FusionStats stats = queue.stats();
-    EXPECT_EQ(stats.splitRetries, 2u);
-    EXPECT_EQ(stats.failedBlocks, 0u);
-
-    // Fused pass AND both solo retries die: the error surfaces on the
-    // submitter, and the queue is not wedged afterwards.
-    {
-        FaultScope scope("mlp_decode:count=3");
-        EXPECT_THROW(queue.decodeBlocks(0, blocks, 2),
-                     FaultInjectedError);
-    }
-    stats = queue.stats();
-    EXPECT_EQ(stats.failedBlocks, 2u);
-
-    // Single-block batch: the batch IS the solo decode — its failure
-    // is delivered directly, no pointless retry.
-    {
-        FaultScope scope("mlp_decode:count=1");
-        EXPECT_THROW(queue.decodeBlocks(0, blocks, 1),
-                     FaultInjectedError);
-    }
-    EXPECT_EQ(queue.stats().splitRetries, 4u); // unchanged by the last two
-
-    // Healthy again: a clean decode still matches the reference.
-    queue.decodeBlocks(0, blocks, 2);
-    for (int i = 0; i < 2; ++i)
-        for (int b = 0; b < counts[i]; ++b)
-            ASSERT_EQ(out[i][b].sigma, ref[i][b].sigma)
-                << "block " << i << " sample " << b;
-    queue.releaseSession(0);
 }
 
 } // namespace

@@ -1,24 +1,19 @@
 /**
  * @file
  * Tests for the serving layer: the shared-model cache's refcounted
- * lifetime, the fused decode queue's bit-identity and fairness
- * plumbing, and the render service's end-to-end contract — every
+ * lifetime and the render service's end-to-end contract — every
  * session's frames bit-identical to a solo render at any thread
  * count, admission control, and the waitFrame/wait API surface.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "common/parallel.hh"
-#include "common/simd.hh"
 #include "scene/trajectory.hh"
 #include "serve/render_service.hh"
-#include "test_util.hh"
 
 namespace cicero {
 namespace {
@@ -52,7 +47,6 @@ TEST(ServeTest, CacheRefcountsAndEvictsOnLastRelease)
     EXPECT_EQ(cache.liveEntries(), 1u);
     // Shares literally one model instance.
     EXPECT_EQ(&a.model(), &b.model());
-    EXPECT_EQ(&a.fusion(), &b.fusion());
 
     a.release();
     EXPECT_EQ(cache.liveEntries(), 1u);
@@ -83,151 +77,6 @@ TEST(ServeTest, CacheFp16IsADistinctKey)
     EXPECT_EQ(cache.stats().misses, 2u);
     EXPECT_EQ(cache.liveEntries(), 2u);
     EXPECT_NE(&a.model(), &b.model());
-}
-
-/** Channel-major features for @p count synthetic baked points. */
-std::vector<float>
-blockFeatures(int count, int salt)
-{
-    std::vector<float> aos(static_cast<std::size_t>(count) * kFeatureDim);
-    for (int b = 0; b < count; ++b) {
-        BakedPoint pt;
-        pt.sigma = ((b + salt) % 5 == 0) ? 0.0f : 0.8f + 0.3f * b;
-        pt.diffuse = {0.07f * ((b + salt) % 13), 0.4f, 0.9f - 0.02f * b};
-        pt.normal =
-            Vec3{0.1f * (salt % 7), 1.0f, 0.05f * b}.normalized();
-        pt.specular = 0.03f * ((b + salt) % 9);
-        pt.shininess = 3.0f + (b % 11);
-        encodeBakedPoint(pt, aos.data() + b * kFeatureDim);
-    }
-    std::vector<float> soa(aos.size());
-    simd::transposeToChannelMajor(aos.data(), count, kFeatureDim,
-                                  soa.data());
-    return soa;
-}
-
-TEST(ServeTest, FusedQueueMatchesDirectDecodeAndFuses)
-{
-    Scene scene = test::tinyScene();
-    Decoder decoder(scene.field.lightDir());
-    FusedDecodeQueue queue(decoder);
-
-    // Several small blocks with distinct view directions, submitted in
-    // one call: the combiner must pack them into fused passes and the
-    // results must be bit-identical to solo decodeBatchSoA calls.
-    const int counts[] = {8, 16, 13, 32, 5};
-    const int numBlocks = 5;
-    std::vector<std::vector<float>> feats;
-    std::vector<Vec3> dirs;
-    std::vector<std::vector<DecodedSample>> fused(numBlocks), direct(numBlocks);
-    for (int i = 0; i < numBlocks; ++i) {
-        feats.push_back(blockFeatures(counts[i], i));
-        dirs.push_back(
-            Vec3{0.2f * i - 0.3f, -0.1f * i, -1.0f}.normalized());
-        fused[i].resize(counts[i]);
-        direct[i].resize(counts[i]);
-    }
-
-    std::vector<DecodeBlock> blocks(numBlocks);
-    for (int i = 0; i < numBlocks; ++i) {
-        blocks[i].features = feats[i].data();
-        blocks[i].featureStride = static_cast<std::size_t>(counts[i]);
-        blocks[i].count = counts[i];
-        blocks[i].viewDir = dirs[i];
-        blocks[i].out = fused[i].data();
-    }
-    queue.decodeBlocks(/*session=*/0, blocks.data(), numBlocks);
-
-    for (int i = 0; i < numBlocks; ++i)
-        decoder.decodeBatchSoA(feats[i].data(),
-                               static_cast<std::size_t>(counts[i]),
-                               counts[i], dirs[i], direct[i].data());
-
-    for (int i = 0; i < numBlocks; ++i)
-        for (int b = 0; b < counts[i]; ++b) {
-            EXPECT_EQ(fused[i][b].sigma, direct[i][b].sigma)
-                << "block " << i << " sample " << b;
-            EXPECT_EQ(fused[i][b].rgb.x, direct[i][b].rgb.x);
-            EXPECT_EQ(fused[i][b].rgb.y, direct[i][b].rgb.y);
-            EXPECT_EQ(fused[i][b].rgb.z, direct[i][b].rgb.z);
-        }
-
-    const FusionStats stats = queue.stats();
-    EXPECT_EQ(stats.blocks, static_cast<std::uint64_t>(numBlocks));
-    EXPECT_GE(stats.fusedPasses, 1u); // multi-block submission must fuse
-    EXPECT_GE(stats.maxBatchBlocks, 2u);
-}
-
-TEST(ServeTest, FusedQueueFp16MatchesDirectDecode)
-{
-    Scene scene = test::tinyScene();
-    Decoder decoder(scene.field.lightDir());
-    decoder.quantizeWeightsFp16();
-    ASSERT_TRUE(decoder.fp16Weights());
-    FusedDecodeQueue queue(decoder);
-
-    const int count = 24;
-    std::vector<float> feats = blockFeatures(count, 3);
-    const Vec3 dir = Vec3{-0.2f, 0.3f, -1.0f}.normalized();
-    std::vector<DecodedSample> fused(count), direct(count);
-
-    queue.decode(/*session=*/1, feats.data(),
-                 static_cast<std::size_t>(count), count, dir,
-                 fused.data());
-    decoder.decodeBatchSoA(feats.data(), static_cast<std::size_t>(count),
-                           count, dir, direct.data());
-    for (int b = 0; b < count; ++b) {
-        EXPECT_EQ(fused[b].sigma, direct[b].sigma) << "sample " << b;
-        EXPECT_EQ(fused[b].rgb.x, direct[b].rgb.x);
-        EXPECT_EQ(fused[b].rgb.y, direct[b].rgb.y);
-        EXPECT_EQ(fused[b].rgb.z, direct[b].rgb.z);
-    }
-}
-
-TEST(ServeTest, FusedQueueConcurrentSessionsStayBitIdentical)
-{
-    // The concurrency contract: many client threads hammering one
-    // queue, each as its own session, and every block's results must
-    // still match a solo decode no matter how the combiner batched
-    // them with other sessions' traffic.
-    Scene scene = test::tinyScene();
-    Decoder decoder(scene.field.lightDir());
-    FusedDecodeQueue queue(decoder);
-
-    const int numThreads = 4;
-    const int rounds = 12;
-    std::atomic<int> mismatches{0};
-    std::vector<std::thread> threads;
-    for (int t = 0; t < numThreads; ++t)
-        threads.emplace_back([&, t] {
-            for (int r = 0; r < rounds; ++r) {
-                const int count = 7 + ((t * rounds + r) % 40);
-                std::vector<float> feats =
-                    blockFeatures(count, t * 100 + r);
-                const Vec3 dir =
-                    Vec3{0.1f * t - 0.2f, 0.05f * r, -1.0f}.normalized();
-                std::vector<DecodedSample> fused(count), direct(count);
-                queue.decode(t, feats.data(),
-                             static_cast<std::size_t>(count), count, dir,
-                             fused.data());
-                decoder.decodeBatchSoA(
-                    feats.data(), static_cast<std::size_t>(count), count,
-                    dir, direct.data());
-                for (int b = 0; b < count; ++b)
-                    if (fused[b].sigma != direct[b].sigma ||
-                        fused[b].rgb.x != direct[b].rgb.x ||
-                        fused[b].rgb.y != direct[b].rgb.y ||
-                        fused[b].rgb.z != direct[b].rgb.z)
-                        ++mismatches;
-            }
-            queue.releaseSession(t);
-        });
-    for (std::thread &t : threads)
-        t.join();
-
-    EXPECT_EQ(mismatches.load(), 0);
-    EXPECT_EQ(queue.stats().blocks,
-              static_cast<std::uint64_t>(numThreads * rounds));
 }
 
 TEST(ServeTest, ServiceFramesBitIdenticalToSoloAtAnyThreadCount)
