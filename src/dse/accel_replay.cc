@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <stdexcept>
+#include <tuple>
 
 #include "memory/cache_model.hh"
 #include "memory/dram_model.hh"
@@ -218,6 +219,122 @@ runBaselineStack(const TraceSourceFn &source,
                                config.dram, config.energy);
     result.ngpc = NgpcModel(config.ngpc).price(desc.work, config.energy);
     return result;
+}
+
+namespace {
+
+// Every field of each config, for the equality operators below.
+auto
+fields(const DramConfig &c)
+{
+    return std::tie(c.numBanks, c.rowBytes, c.burstBytes, c.bandwidthGBs,
+                    c.randomAccessNs, c.streamEnergyPjPerByte,
+                    c.randomEnergyPjPerByte);
+}
+
+auto
+fields(const GpuConfig &c)
+{
+    return std::tie(c.name, c.macThroughput, c.aluThroughput,
+                    c.fetchIssueRate, c.sparseDispatchOverhead,
+                    c.cacheMissTransactionBytes, c.randomPenalty,
+                    c.activePowerW, c.pointOpsPerSecond);
+}
+
+auto
+fields(const CacheConfig &c)
+{
+    return std::tie(c.capacityBytes, c.lineBytes, c.ways);
+}
+
+auto
+fields(const EnergyConstants &c)
+{
+    return std::tie(c.sramPjPerByte, c.dramStreamPjPerByte,
+                    c.dramRandomPjPerByte, c.macPj, c.aluOpPj,
+                    c.wirelessNjPerByte, c.wirelessMBps, c.socStaticW,
+                    c.gpuIdleW, c.gpuActiveW, c.npuActiveW,
+                    c.remoteGpuActiveW);
+}
+
+auto
+fields(const NpuConfig &c)
+{
+    return std::tie(c.rows, c.cols, c.freqGHz, c.utilization,
+                    c.featureBufBytes, c.weightBufBytes, c.activePowerW,
+                    c.scalarOpsPerSecond);
+}
+
+auto
+fields(const GatheringUnitConfig &c)
+{
+    return std::tie(c.banks, c.ports, c.vftBytes, c.ritEntryBytes,
+                    c.ritEntries, c.freqGHz, c.activePowerW);
+}
+
+auto
+fields(const NeurexConfig &c)
+{
+    return std::tie(c.peRows, c.peCols, c.gatherLanes, c.bufferBytes,
+                    c.freqGHz, c.bufferMissRate, c.activePowerW);
+}
+
+auto
+fields(const NgpcConfig &c)
+{
+    return std::tie(c.peRows, c.peCols, c.gatherLanes, c.bufferBytes,
+                    c.freqGHz, c.activePowerW);
+}
+
+auto
+fields(const SramBankConfig &c)
+{
+    return std::tie(c.numBanks, c.portsPerBank, c.concurrentRays,
+                    c.featureBytes, c.channelBytes, c.layout);
+}
+
+template <typename T>
+bool
+same(const T &a, const T &b)
+{
+    return fields(a) == fields(b);
+}
+
+} // namespace
+
+bool
+operator==(const GpuStackConfig &a, const GpuStackConfig &b)
+{
+    return same(a.gpu, b.gpu) && same(a.gpu.dram, b.gpu.dram) &&
+           same(a.cache, b.cache) && a.warpWays == b.warpWays &&
+           same(a.energy, b.energy);
+}
+
+bool
+operator==(const GuStackConfig &a, const GuStackConfig &b)
+{
+    return same(a.gu, b.gu) && same(a.dram, b.dram) &&
+           same(a.energy, b.energy) && a.concurrentRays == b.concurrentRays;
+}
+
+bool
+operator==(const BaselineStackConfig &a, const BaselineStackConfig &b)
+{
+    return same(a.neurex, b.neurex) && same(a.ngpc, b.ngpc) &&
+           same(a.bank, b.bank) && same(a.dram, b.dram) &&
+           same(a.energy, b.energy);
+}
+
+bool
+operator==(const NpuConfig &a, const NpuConfig &b)
+{
+    return same(a, b);
+}
+
+bool
+operator==(const EnergyConstants &a, const EnergyConstants &b)
+{
+    return same(a, b);
 }
 
 namespace {

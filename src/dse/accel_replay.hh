@@ -195,6 +195,21 @@ BaselineStackResult runBaselineStack(const TraceSourceFn &source,
                                      const TraceWorkloadDescriptor &desc,
                                      const BaselineStackConfig &config = {});
 
+// ---------------------------------------------------------------------
+// Config equality
+// ---------------------------------------------------------------------
+
+/**
+ * Field-by-field equality of the stack configs, nested device configs
+ * included, and of the NPU stack's inputs. Equal configs price a trace
+ * identically, so the DSE driver replays each distinct one once.
+ */
+bool operator==(const GpuStackConfig &a, const GpuStackConfig &b);
+bool operator==(const GuStackConfig &a, const GuStackConfig &b);
+bool operator==(const BaselineStackConfig &a, const BaselineStackConfig &b);
+bool operator==(const NpuConfig &a, const NpuConfig &b);
+bool operator==(const EnergyConstants &a, const EnergyConstants &b);
+
 /**
  * Deterministic JSON for the accelerator stacks — same contract as the
  * memory-stack statsJson overloads: integers verbatim, fixed-precision

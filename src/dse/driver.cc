@@ -20,24 +20,6 @@ fmt(const char *format, double v)
     return buf;
 }
 
-std::string
-axisJson(const std::vector<double> &v)
-{
-    std::string out = "[";
-    for (std::size_t i = 0; i < v.size(); ++i)
-        out += (i ? ", " : "") + fmt("%g", v[i]);
-    return out + "]";
-}
-
-std::string
-axisJson(const std::vector<std::uint32_t> &v)
-{
-    std::string out = "[";
-    for (std::size_t i = 0; i < v.size(); ++i)
-        out += (i ? ", " : "") + std::to_string(v[i]);
-    return out + "]";
-}
-
 void
 parseDoubleAxis(const JsonValue &arr, const char *name,
                 std::vector<double> &out)
@@ -170,48 +152,73 @@ expandGrid(const SweepAxes &axes)
     return grid;
 }
 
-DsePointResult
-evaluatePoint(const TraceSourceFn &source,
-              const TraceWorkloadDescriptor &desc,
-              const std::string &traceId, const DseConfig &config)
+namespace {
+
+/** The NPU stack's inputs; no sweep axis reaches them. */
+struct NpuStackConfig
 {
-    GpuStackConfig gpuCfg;
-    gpuCfg.gpu.dram.bandwidthGBs = config.dramGBs;
-    gpuCfg.cache.capacityBytes =
+    NpuConfig npu;
+    EnergyConstants energy;
+};
+
+bool
+operator==(const NpuStackConfig &a, const NpuStackConfig &b)
+{
+    return a.npu == b.npu && a.energy == b.energy;
+}
+
+/** The four stack configs that price one grid point. */
+struct StackConfigs
+{
+    GpuStackConfig gpu;
+    NpuStackConfig npu;
+    GuStackConfig gu;
+    BaselineStackConfig baselines;
+};
+
+StackConfigs
+buildStacks(const DseConfig &config)
+{
+    StackConfigs s;
+    s.gpu.gpu.dram.bandwidthGBs = config.dramGBs;
+    s.gpu.cache.capacityBytes =
         static_cast<std::uint64_t>(config.cacheMb * (1ull << 20));
-    gpuCfg.cache.ways = config.cacheWays;
-    gpuCfg.warpWays = config.warpWays;
+    s.gpu.cache.ways = config.cacheWays;
+    s.gpu.warpWays = config.warpWays;
 
-    GuStackConfig guCfg;
-    guCfg.gu.vftBytes = static_cast<std::uint64_t>(config.guVftKb) * 1024;
-    guCfg.gu.banks = config.guBanks;
-    guCfg.dram.bandwidthGBs = config.dramGBs;
-    guCfg.concurrentRays = config.concurrentRays;
+    s.gu.gu.vftBytes = static_cast<std::uint64_t>(config.guVftKb) * 1024;
+    s.gu.gu.banks = config.guBanks;
+    s.gu.dram.bandwidthGBs = config.dramGBs;
+    s.gu.concurrentRays = config.concurrentRays;
 
-    BaselineStackConfig baseCfg;
-    baseCfg.bank.numBanks = config.sramBanks;
-    baseCfg.bank.concurrentRays = config.concurrentRays;
-    baseCfg.dram.bandwidthGBs = config.dramGBs;
+    s.baselines.bank.numBanks = config.sramBanks;
+    s.baselines.bank.concurrentRays = config.concurrentRays;
+    s.baselines.dram.bandwidthGBs = config.dramGBs;
+    return s;
+}
 
-    GpuStackResult gpu = runGpuStack(source, desc, gpuCfg);
-    NpuStackResult npu = runNpuStack(source, desc);
-    GuStackResult gu = runGuStack(source, desc, guCfg);
-    BaselineStackResult baselines =
-        runBaselineStack(source, desc, baseCfg);
-
+/**
+ * Price one (trace, config) point from its four stack results,
+ * mirroring cicero/pipeline.cc nerfCost(): the GPU indexes and
+ * composites, then the GU's gather overlaps with the NPU's MLP work
+ * through the double-buffered feature buffer.
+ */
+DsePointResult
+composePoint(const std::string &traceId, const DseConfig &config,
+             const StackConfigs &stacks, const GpuStackResult &gpu,
+             const NpuStackResult &npu, const GuStackResult &gu,
+             const BaselineStackResult &baselines)
+{
     DsePointResult point;
     point.traceId = traceId;
     point.configId = config.id();
 
-    // Cicero composition, mirroring cicero/pipeline.cc nerfCost(): the
-    // GPU indexes and composites, then the GU's gather overlaps with
-    // the NPU's MLP work through the double-buffered feature buffer.
     double gpuPartMs = gpu.times.indexMs + gpu.times.compositeMs;
     point.ciceroTimeMs =
         gpuPartMs + std::max(gu.cost.timeMs, npu.timeMs);
     point.ciceroFps =
         point.ciceroTimeMs > 0 ? 1000.0 / point.ciceroTimeMs : 0.0;
-    point.ciceroEnergyNj = GpuModel(gpuCfg.gpu).energyNj(gpuPartMs) +
+    point.ciceroEnergyNj = GpuModel(stacks.gpu.gpu).energyNj(gpuPartMs) +
                            npu.energyNj + gu.cost.energyNj;
 
     point.gpuFps = gpu.timeMs > 0 ? 1000.0 / gpu.timeMs : 0.0;
@@ -222,6 +229,51 @@ evaluatePoint(const TraceSourceFn &source,
     point.guJson = statsJson(gu);
     point.baselinesJson = statsJson(baselines);
     return point;
+}
+
+/**
+ * The distinct values of one stack's config over the grid, in order of
+ * first appearance, and which of them each grid point uses.
+ */
+template <typename Config>
+struct DistinctStacks
+{
+    std::vector<Config> configs;
+    std::vector<std::size_t> ofPoint;
+};
+
+template <typename Config>
+DistinctStacks<Config>
+distinctStacks(const std::vector<StackConfigs> &points,
+               Config StackConfigs::*stack)
+{
+    DistinctStacks<Config> d;
+    for (const StackConfigs &p : points) {
+        const Config &config = p.*stack;
+        auto it = std::find(d.configs.begin(), d.configs.end(), config);
+        d.ofPoint.push_back(
+            static_cast<std::size_t>(it - d.configs.begin()));
+        if (it == d.configs.end())
+            d.configs.push_back(config);
+    }
+    return d;
+}
+
+} // namespace
+
+DsePointResult
+evaluatePoint(const TraceSourceFn &source,
+              const TraceWorkloadDescriptor &desc,
+              const std::string &traceId, const DseConfig &config)
+{
+    StackConfigs stacks = buildStacks(config);
+    GpuStackResult gpu = runGpuStack(source, desc, stacks.gpu);
+    NpuStackResult npu =
+        runNpuStack(source, desc, stacks.npu.npu, stacks.npu.energy);
+    GuStackResult gu = runGuStack(source, desc, stacks.gu);
+    BaselineStackResult baselines =
+        runBaselineStack(source, desc, stacks.baselines);
+    return composePoint(traceId, config, stacks, gpu, npu, gu, baselines);
 }
 
 DseDriver::DseDriver(SweepAxes axes) : _axes(std::move(axes))
@@ -248,32 +300,81 @@ DseDriver::run(const Corpus &corpus, bool parallel) const
 
     std::vector<DseConfig> grid = expandGrid(_axes);
     const std::size_t traces = corpus.size();
-    const std::size_t jobs = grid.size() * traces;
+
+    // Each stack reads only a few axes, so most grid points share their
+    // stack configs with others: price every distinct one once per
+    // trace, keyed on the config exactly as evaluatePoint builds it.
+    std::vector<StackConfigs> stacks;
+    stacks.reserve(grid.size());
+    for (const DseConfig &c : grid)
+        stacks.push_back(buildStacks(c));
+    const auto gpus = distinctStacks(stacks, &StackConfigs::gpu);
+    const auto npus = distinctStacks(stacks, &StackConfigs::npu);
+    const auto gus = distinctStacks(stacks, &StackConfigs::gu);
+    const auto bases = distinctStacks(stacks, &StackConfigs::baselines);
+
+    const std::size_t nGpu = gpus.configs.size(), nNpu = npus.configs.size(),
+                      nGu = gus.configs.size(), nBase = bases.configs.size();
+    const std::size_t perTrace = nGpu + nNpu + nGu + nBase;
+    std::vector<GpuStackResult> gpuRes(traces * nGpu);
+    std::vector<NpuStackResult> npuRes(traces * nNpu);
+    std::vector<GuStackResult> guRes(traces * nGu);
+    std::vector<BaselineStackResult> baseRes(traces * nBase);
+
+    // Index-addressed replays: job j is trace j / perTrace and distinct
+    // stack j % perTrace (GPU, then NPU, GU, baseline configs), and
+    // writes only its own result slot.
+    auto replayJob = [&](std::size_t j) {
+        const std::size_t t = j / perTrace;
+        std::size_t k = j % perTrace;
+        const TraceSourceFn source = fileSource(*readers[t]);
+        if (k < nGpu) {
+            gpuRes[t * nGpu + k] =
+                runGpuStack(source, descs[t], gpus.configs[k]);
+            return;
+        }
+        k -= nGpu;
+        if (k < nNpu) {
+            const NpuStackConfig &c = npus.configs[k];
+            npuRes[t * nNpu + k] =
+                runNpuStack(source, descs[t], c.npu, c.energy);
+            return;
+        }
+        k -= nNpu;
+        if (k < nGu) {
+            guRes[t * nGu + k] = runGuStack(source, descs[t], gus.configs[k]);
+            return;
+        }
+        k -= nGu;
+        baseRes[t * nBase + k] =
+            runBaselineStack(source, descs[t], bases.configs[k]);
+    };
+
+    const std::size_t jobs = traces * perTrace;
+    if (parallel) {
+        TaskGroup group;
+        for (std::size_t j = 0; j < jobs; ++j)
+            group.run([&replayJob, j] { replayJob(j); });
+        group.wait();
+    } else {
+        for (std::size_t j = 0; j < jobs; ++j)
+            replayJob(j);
+    }
 
     DseResult result;
     result.traceCount = traces;
     result.configCount = grid.size();
-    result.points.resize(jobs);
 
-    // Index-addressed assembly: job j = config-major (c * traces + t),
-    // so the result layout never depends on scheduling.
-    auto evalJob = [&](std::size_t j) {
-        std::size_t c = j / traces;
-        std::size_t t = j % traces;
-        result.points[j] =
-            evaluatePoint(fileSource(*readers[t]), descs[t],
-                          corpus.entries()[t].id, grid[c]);
-    };
-
-    if (parallel) {
-        TaskGroup group;
-        for (std::size_t j = 0; j < jobs; ++j)
-            group.run([&evalJob, j] { evalJob(j); });
-        group.wait();
-    } else {
-        for (std::size_t j = 0; j < jobs; ++j)
-            evalJob(j);
-    }
+    // Compose every point serially, config-major (c * traces + t).
+    result.points.reserve(grid.size() * traces);
+    for (std::size_t c = 0; c < grid.size(); ++c)
+        for (std::size_t t = 0; t < traces; ++t)
+            result.points.push_back(composePoint(
+                corpus.entries()[t].id, grid[c], stacks[c],
+                gpuRes[t * nGpu + gpus.ofPoint[c]],
+                npuRes[t * nNpu + npus.ofPoint[c]],
+                guRes[t * nGu + gus.ofPoint[c]],
+                baseRes[t * nBase + bases.ofPoint[c]]));
 
     // Per-config aggregates, accumulated in trace order.
     result.summaries.reserve(grid.size());

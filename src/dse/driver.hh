@@ -2,17 +2,24 @@
  * @file
  * Replay-driven design-space exploration driver.
  *
- * A declarative SweepAxes spec (cache size, warp interleaving, GU VFT
- * size and bank count, DRAM bandwidth, baseline SRAM banking,
- * concurrent rays) expands into a full cartesian config grid; the
- * driver prices every (trace, config) pair by replaying the corpus
- * traces through the accelerator stacks of dse/accel_replay.hh and
- * composing the Cicero frame price exactly as cicero/pipeline.cc does
- * (GPU indexing + compositing, then gather on the GU overlapped with
- * MLP on the NPU).
+ * A declarative SweepAxes spec (cache size and associativity, warp
+ * interleaving, GU VFT size and bank count, DRAM bandwidth, baseline
+ * SRAM banking, concurrent rays) expands into a full cartesian config
+ * grid. Every (trace, config) point is priced from four accelerator
+ * stacks of dse/accel_replay.hh, composed into the Cicero frame price
+ * exactly as cicero/pipeline.cc does (GPU indexing + compositing, then
+ * gather on the GU overlapped with MLP on the NPU).
  *
- * Determinism contract: jobs are sharded over the TaskGroup scheduler
- * but write into an index-addressed result vector, so the assembled
+ * Each stack reads only a few axes, so many points share a stack
+ * config. The driver builds every point's stack configs as
+ * evaluatePoint does and replays each trace once per *distinct* stack
+ * config (compared field by field), then composes each point from
+ * those results with evaluatePoint's own composition — so a sweep
+ * equals one evaluatePoint per (trace, config), byte for byte.
+ *
+ * Determinism contract: the replays are sharded over the TaskGroup
+ * scheduler but write into index-addressed result slots, and points
+ * are composed serially in config-major order, so the assembled
  * results — and the emitted JSON, which uses the repo's fixed-precision
  * formatting — are byte-identical to a serial run at any thread count.
  * Trace readers are shared across jobs (TraceFileReader::replay is
@@ -137,8 +144,11 @@ struct DseResult
 };
 
 /**
- * Evaluate one trace against one config — the unit of work the driver
- * shards. Exposed for the identity tests and the --check replay gate.
+ * Evaluate one trace against one config: replay all four stacks and
+ * compose the point. DseDriver::run prices every point of its grid to
+ * the same bytes while sharing replays between points; this entry is
+ * the per-point reference that the identity tests and the benchmark's
+ * per-point timing call.
  */
 DsePointResult evaluatePoint(const TraceSourceFn &source,
                              const TraceWorkloadDescriptor &desc,
@@ -155,8 +165,8 @@ class DseDriver
 
     /**
      * Run the sweep over @p corpus. With @p parallel the (trace,
-     * config) jobs are sharded over the TaskGroup scheduler; the result
-     * is byte-identical either way.
+     * distinct stack config) replays are sharded over the TaskGroup
+     * scheduler; the result is byte-identical either way.
      * @throws std::runtime_error when the corpus is empty, a trace file
      *         fails to parse, or a trace lacks a workload summary.
      */

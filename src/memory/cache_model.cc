@@ -1,12 +1,47 @@
 #include "memory/cache_model.hh"
 
 #include <algorithm>
+#include <cassert>
 #include <queue>
+#include <stdexcept>
 
 namespace cicero {
 
+namespace {
+
+/** 64 - log2(@p tableSize) for a power-of-two table size. */
+unsigned
+hashShift(std::size_t tableSize)
+{
+    unsigned shift = 64;
+    while ((std::size_t(1) << (64 - shift)) < tableSize)
+        --shift;
+    return shift;
+}
+
+} // namespace
+
 LruCache::LruCache(const CacheConfig &config) : _config(config)
 {
+    if (_config.ways == 0 && _config.numLines() >= kNone)
+        throw std::invalid_argument(
+            "LruCache: a fully associative cache needs fewer than "
+            "2^32 - 1 lines");
+}
+
+std::size_t
+LruCache::tableSize(std::uint64_t lines)
+{
+    std::size_t size = 2;
+    while (size < 2 * lines)
+        size *= 2;
+    return size;
+}
+
+std::size_t
+LruCache::homeBucket(std::uint64_t line, std::size_t tableSize)
+{
+    return bucket(line, hashShift(tableSize));
 }
 
 void
@@ -29,6 +64,65 @@ LruCache::touchSetAssoc(std::uint64_t line)
     set.insert(set.begin(), line);
 }
 
+std::size_t
+LruCache::findFree(std::uint64_t line) const
+{
+    const std::size_t mask = _table.size() - 1;
+    std::size_t pos = bucket(line, _shift);
+    while (_table[pos] != kNone)
+        pos = (pos + 1) & mask;
+    return pos;
+}
+
+void
+LruCache::eraseFromTable(std::uint64_t line)
+{
+    const std::size_t mask = _table.size() - 1;
+    std::size_t hole = bucket(line, _shift);
+    while (_slots[_table[hole]].line != line) {
+        hole = (hole + 1) & mask;
+        assert(_table[hole] != kNone); // the line is resident
+    }
+    // Backward-shift deletion: pull each later entry of the cluster
+    // into the hole when the hole lies on its probe path (between its
+    // home bucket and where it sits, wrapping at the table end).
+    for (std::size_t j = (hole + 1) & mask; _table[j] != kNone;
+         j = (j + 1) & mask) {
+        std::size_t home = bucket(_slots[_table[j]].line, _shift);
+        if (((j - home) & mask) >= ((j - hole) & mask)) {
+            _table[hole] = _table[j];
+            hole = j;
+        }
+    }
+    _table[hole] = kNone;
+}
+
+void
+LruCache::unlink(std::uint32_t slot)
+{
+    const Slot &s = _slots[slot];
+    if (s.prev != kNone)
+        _slots[s.prev].next = s.next;
+    else
+        _head = s.next;
+    if (s.next != kNone)
+        _slots[s.next].prev = s.prev;
+    else
+        _tail = s.prev;
+}
+
+void
+LruCache::pushFront(std::uint32_t slot)
+{
+    _slots[slot].prev = kNone;
+    _slots[slot].next = _head;
+    if (_head != kNone)
+        _slots[_head].prev = slot;
+    else
+        _tail = slot;
+    _head = slot;
+}
+
 void
 LruCache::touch(std::uint64_t line)
 {
@@ -37,22 +131,45 @@ LruCache::touch(std::uint64_t line)
         return;
     }
     ++_stats.accesses;
-    auto it = _where.find(line);
-    if (it != _where.end()) {
-        ++_stats.hits;
-        _lru.erase(it->second);
-        _lru.push_front(line);
-        it->second = _lru.begin();
+    const std::uint64_t capacity = _config.numLines();
+    if (capacity == 0) {
+        ++_stats.misses;
         return;
     }
-    ++_stats.misses;
-    if (_lru.size() >= _config.numLines()) {
-        std::uint64_t victim = _lru.back();
-        _lru.pop_back();
-        _where.erase(victim);
+    if (_table.empty()) {
+        _slots.resize(capacity);
+        _table.assign(tableSize(capacity), kNone);
+        _shift = hashShift(_table.size());
     }
-    _lru.push_front(line);
-    _where[line] = _lru.begin();
+
+    const std::size_t mask = _table.size() - 1;
+    std::size_t pos = bucket(line, _shift);
+    for (; _table[pos] != kNone; pos = (pos + 1) & mask) {
+        std::uint32_t slot = _table[pos];
+        if (_slots[slot].line == line) {
+            ++_stats.hits;
+            if (slot != _head) { // move to MRU
+                unlink(slot);
+                pushFront(slot);
+            }
+            return;
+        }
+    }
+    ++_stats.misses;
+    std::uint32_t slot;
+    if (_used < capacity) {
+        slot = _used++;
+    } else {
+        // Evict the LRU line and reuse its slot. The deletion can shift
+        // entries back into this line's probe path, so probe again.
+        slot = _tail;
+        eraseFromTable(_slots[slot].line);
+        unlink(slot);
+        pos = findFree(line);
+    }
+    _slots[slot].line = line;
+    _table[pos] = slot;
+    pushFront(slot);
 }
 
 void
@@ -69,8 +186,9 @@ void
 LruCache::reset()
 {
     _stats = CacheStats{};
-    _lru.clear();
-    _where.clear();
+    std::fill(_table.begin(), _table.end(), kNone);
+    _used = 0;
+    _head = _tail = kNone;
     _sets.clear();
 }
 

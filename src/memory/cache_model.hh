@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <list>
 #include <unordered_map>
 #include <vector>
 
@@ -64,10 +63,22 @@ struct CacheStats
  * it models a set-associative cache (set = line mod numSets, LRU
  * within the set), which adds the conflict misses a real design point
  * pays; the DSE sweeps associativity through this path.
+ *
+ * The fully associative path is flat: numLines() slots linked into an
+ * intrusive recency list by index, found through an open-addressed
+ * table of slot indices (linear probing, at most half full, backward-
+ * shift deletion so no tombstones build up). Its storage is sized once,
+ * on the first touch — about 24 bytes per cache line — and a hit only
+ * relinks two indices, so the replay of a frame allocates nothing per
+ * access. A cache smaller than one line misses every access.
  */
 class LruCache : public TraceSink
 {
   public:
+    /**
+     * @throws std::invalid_argument when a fully associative cache has
+     *         2^32 - 1 lines or more (slots are 32-bit indices).
+     */
     explicit LruCache(const CacheConfig &config = CacheConfig{});
 
     void onAccess(const MemAccess &access) override;
@@ -75,15 +86,51 @@ class LruCache : public TraceSink
     const CacheStats &stats() const { return _stats; }
     void reset();
 
+    /**
+     * Fully associative probe geometry, public so tests can build key
+     * sets that collide: a cache of @p lines lines probes a table of
+     * tableSize(lines) buckets (the smallest power of two >= 2 x lines,
+     * at least 2), and @p line's probe starts at homeBucket(line,
+     * tableSize).
+     */
+    static std::size_t tableSize(std::uint64_t lines);
+    static std::size_t homeBucket(std::uint64_t line, std::size_t tableSize);
+
   private:
+    static constexpr std::uint32_t kNone = ~0u;
+
+    /** Fibonacci hashing: the top 64 - @p shift bits of the product
+     *  mix every bit of the line, high address bits included. */
+    static std::size_t
+    bucket(std::uint64_t line, unsigned shift)
+    {
+        return static_cast<std::size_t>((line * 0x9E3779B97F4A7C15ull) >>
+                                        shift);
+    }
+
+    /** A fully associative line slot, linked MRU to LRU by index. */
+    struct Slot
+    {
+        std::uint64_t line = 0;
+        std::uint32_t prev = kNone; //!< toward the MRU end
+        std::uint32_t next = kNone; //!< toward the LRU end
+    };
+
     void touch(std::uint64_t line);
     void touchSetAssoc(std::uint64_t line);
+    std::size_t findFree(std::uint64_t line) const;
+    void eraseFromTable(std::uint64_t line);
+    void unlink(std::uint32_t slot);
+    void pushFront(std::uint32_t slot);
 
     CacheConfig _config;
     CacheStats _stats;
-    std::list<std::uint64_t> _lru; //!< front = most recent (fully assoc)
-    std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator>
-        _where;
+    std::vector<Slot> _slots;          //!< [0, _used) hold lines
+    std::vector<std::uint32_t> _table; //!< slot index or kNone
+    unsigned _shift = 63;              //!< 64 - log2(_table.size())
+    std::uint32_t _used = 0;
+    std::uint32_t _head = kNone; //!< most recently used slot
+    std::uint32_t _tail = kNone; //!< least recently used slot
     /**
      * Set-associative mode only: per-set resident lines, most
      * recently used at the front. Sets are at most `ways` long, so a

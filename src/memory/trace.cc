@@ -12,15 +12,10 @@ RayTraceBuffer::RayTraceBuffer(std::size_t slotCount,
 void
 RayTraceBuffer::SlotSink::onAccess(const MemAccess &access)
 {
+    // A plain append: buffered totals are accounted per completed
+    // chunk in markCompleted, so recording shares nothing across
+    // threads.
     _buf->_slots[_slot].accesses.push_back(access);
-
-    std::uint64_t cur =
-        _buf->_buffered.fetch_add(1, std::memory_order_relaxed) + 1;
-    std::uint64_t peak =
-        _buf->_peakBuffered.load(std::memory_order_relaxed);
-    while (peak < cur && !_buf->_peakBuffered.compare_exchange_weak(
-                             peak, cur, std::memory_order_relaxed)) {
-    }
 }
 
 void
@@ -31,7 +26,7 @@ RayTraceBuffer::SlotSink::onRayEnd(std::uint32_t rayId)
     s.ended = true;
 }
 
-void
+std::uint64_t
 RayTraceBuffer::drainRange(std::size_t begin, std::size_t end)
 {
     std::uint64_t delivered = 0;
@@ -47,7 +42,7 @@ RayTraceBuffer::drainRange(std::size_t begin, std::size_t end)
         // that buffer (e.g. WarpInterleaver).
         s.accesses = std::vector<MemAccess>();
     }
-    _buffered.fetch_sub(delivered, std::memory_order_relaxed);
+    return delivered;
 }
 
 void
@@ -56,8 +51,16 @@ RayTraceBuffer::markCompleted(std::size_t begin, std::size_t end)
     if (begin >= end)
         return;
     assert(end <= _slots.size());
+    // The caller recorded these slots and records no more into them,
+    // so their sizes are stable; a slot already drained counts 0.
+    std::uint64_t recorded = 0;
+    for (std::size_t i = begin; i < end; ++i)
+        recorded += _slots[i].accesses.size();
     {
         std::lock_guard<std::mutex> lk(_stateMutex);
+        _buffered += recorded;
+        if (_buffered > _peakBuffered.load(std::memory_order_relaxed))
+            _peakBuffered.store(_buffered, std::memory_order_relaxed);
         // Merge [begin, end) into the interval set: absorb any
         // intervals it touches, then insert the union.
         auto it = _completed.lower_bound(begin);
@@ -104,10 +107,13 @@ RayTraceBuffer::tryDrain()
             // _drained advances only after delivery, but holding the
             // baton makes the gap invisible to other drainers.
         }
-        drainRange(begin, end);
+        std::uint64_t delivered = drainRange(begin, end);
         {
             std::lock_guard<std::mutex> lk(_stateMutex);
             _drained = end;
+            // Every drained slot lies in a marked interval, so its
+            // accesses were counted into _buffered.
+            _buffered -= delivered;
         }
         _drainMutex.unlock();
         // Loop: a completion may have extended the prefix while this
@@ -123,6 +129,9 @@ RayTraceBuffer::replay()
     drainRange(_drained, _slots.size());
     _drained = _slots.size();
     _completed.clear();
+    // The suffix may hold slots no markCompleted counted; nothing is
+    // buffered any more either way.
+    _buffered = 0;
 }
 
 } // namespace cicero

@@ -243,9 +243,10 @@ class RayTraceBuffer
      * Note that slots [begin, end) are complete — no further events
      * will be recorded into them — and opportunistically drain the
      * completed prefix into the downstream sink. Thread-safe; called
-     * by workers as their chunks finish. Purely an optimization: peak
-     * buffered memory drops from the whole frame to roughly the
-     * out-of-order window, while the delivered stream is unchanged.
+     * by workers as their chunks finish, each chunk by the thread
+     * that recorded it. Purely an optimization: peak buffered memory
+     * drops from the whole frame to roughly the out-of-order window,
+     * while the delivered stream is unchanged.
      */
     void markCompleted(std::size_t begin, std::size_t end);
 
@@ -260,8 +261,11 @@ class RayTraceBuffer
 
     /**
      * High-water mark of buffered accesses (windowed-drain
-     * effectiveness metric): with prefix draining this stays near the
-     * completion out-of-order window instead of the full trace size.
+     * effectiveness metric): accesses of slots marked complete but not
+     * yet delivered, sampled at each markCompleted. With prefix
+     * draining this stays near the completion out-of-order window
+     * instead of the full trace size. Chunks still recording are not
+     * counted, so recording threads never touch a shared counter.
      */
     std::uint64_t
     peakBufferedAccesses() const
@@ -277,16 +281,18 @@ class RayTraceBuffer
         bool ended = false;
     };
 
-    void drainRange(std::size_t begin, std::size_t end);
+    /** Deliver slots [begin, end); @return accesses delivered. */
+    std::uint64_t drainRange(std::size_t begin, std::size_t end);
     void tryDrain();
 
     std::vector<Slot> _slots;
     TraceSink *_downstream;
 
-    std::atomic<std::uint64_t> _buffered{0};
-    std::atomic<std::uint64_t> _peakBuffered{0};
+    /** Accesses of marked, undelivered slots; guarded by _stateMutex. */
+    std::uint64_t _buffered = 0;
+    std::atomic<std::uint64_t> _peakBuffered{0}; //!< written under it
 
-    std::mutex _stateMutex; //!< guards _completed and _drained
+    std::mutex _stateMutex; //!< guards _completed, _drained, _buffered
     std::mutex _drainMutex; //!< drain baton: one drainer at a time
     std::map<std::size_t, std::size_t> _completed; //!< merged intervals
     std::size_t _drained = 0; //!< slots [0, _drained) already delivered

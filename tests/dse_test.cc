@@ -4,14 +4,17 @@
  * replay (live vs file source bit-identical stats for the GPU, NPU,
  * GU and baseline stacks, across capture thread counts), workload
  * summary round-trips, corpus manifest round-trip and malformed-input
- * error paths, sweep-spec parsing, and the driver's
- * parallel-vs-serial byte-identity contract.
+ * error paths, sweep-spec parsing, and the driver's byte-identity
+ * contracts: parallel == serial, and distinct-stack pricing == one
+ * evaluatePoint per (trace, config).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -455,6 +458,129 @@ TEST(DseDriverTest, ParallelSweepByteIdenticalToSerial)
     for (const auto &s : parallelRun.summaries)
         frontier += s.pareto ? 1 : 0;
     EXPECT_GE(frontier, 1u);
+
+    for (const auto &entry : corpus.entries())
+        std::remove(corpus.tracePath(entry).c_str());
+    std::remove((std::string(dir) + "/corpus.json").c_str());
+    std::remove(dir);
+}
+
+/**
+ * Plain reference sweep: every (config, trace) point priced by its own
+ * evaluatePoint call, config-major, then averaged per config and
+ * marked Pareto-optimal with a direct dominance check.
+ */
+dse::DseResult
+perPointSweep(const dse::Corpus &corpus, const dse::SweepAxes &axes)
+{
+    std::vector<std::unique_ptr<TraceFileReader>> readers;
+    for (const auto &entry : corpus.entries())
+        readers.push_back(
+            std::make_unique<TraceFileReader>(corpus.tracePath(entry)));
+    const std::vector<dse::DseConfig> grid = dse::expandGrid(axes);
+
+    dse::DseResult ref;
+    ref.traceCount = readers.size();
+    ref.configCount = grid.size();
+    for (const dse::DseConfig &config : grid) {
+        dse::DseConfigSummary s;
+        s.config = config;
+        s.sramBytes = config.sramBytes();
+        for (std::size_t t = 0; t < readers.size(); ++t) {
+            ref.points.push_back(dse::evaluatePoint(
+                fileSource(*readers[t]), workloadFromTrace(*readers[t]),
+                corpus.entries()[t].id, config));
+            s.fps += ref.points.back().ciceroFps;
+            s.energyNj += ref.points.back().ciceroEnergyNj;
+        }
+        s.fps /= readers.size();
+        s.energyNj /= readers.size();
+        ref.summaries.push_back(s);
+    }
+    for (dse::DseConfigSummary &a : ref.summaries) {
+        a.pareto = true;
+        for (const dse::DseConfigSummary &b : ref.summaries)
+            if (b.fps >= a.fps && b.energyNj <= a.energyNj &&
+                b.sramBytes <= a.sramBytes &&
+                (b.fps > a.fps || b.energyNj < a.energyNj ||
+                 b.sramBytes < a.sramBytes))
+                a.pareto = false;
+    }
+    return ref;
+}
+
+TEST(DseDriverTest, DistinctStackPricingMatchesPerPointEvaluation)
+{
+    // The driver replays each distinct stack config once per trace and
+    // composes the points from those results; its JSON must equal the
+    // plain assembly of one evaluatePoint call per (trace, config), on
+    // a grid where every axis varies and over two different traces.
+    ThreadCountGuard guard;
+    setParallelThreadCount(1);
+    auto model = test::tinyModel();
+    const int res = 16;
+
+    char dirTemplate[] = "/tmp/cicero_dse_test_XXXXXX";
+    const char *dir = mkdtemp(dirTemplate);
+    ASSERT_NE(dir, nullptr);
+    dse::Corpus corpus(dir);
+    for (int f = 0; f < 2; ++f) {
+        Pose pose = Pose::lookAt({0.6f * f, 0.5f, 2.5f - 0.5f * f},
+                                 {0.0f, 0.0f, 0.0f}, {0.0f, 1.0f, 0.0f});
+        std::vector<std::uint8_t> ctrace;
+        captureWithSummary(*model, test::tinyCamera(res, &pose), res,
+                           ctrace);
+        dse::CorpusEntry entry;
+        entry.id = "tiny_pose" + std::to_string(f);
+        entry.file = entry.id + ".ctrace";
+        entry.scene = "tiny";
+        entry.res = res;
+        entry.frame = static_cast<std::uint32_t>(f);
+        std::FILE *out = std::fopen(corpus.tracePath(entry).c_str(), "wb");
+        ASSERT_NE(out, nullptr);
+        ASSERT_EQ(std::fwrite(ctrace.data(), 1, ctrace.size(), out),
+                  ctrace.size());
+        std::fclose(out);
+        corpus.add(std::move(entry));
+    }
+    corpus.save();
+
+    // Caches of 16 and 64 lines, so the small trace still misses and
+    // the GPU stack's price depends on the cache axes.
+    dse::SweepAxes axes;
+    axes.cacheMb = {1.0 / 1024, 4.0 / 1024};
+    axes.cacheWays = {0, 2};
+    axes.warpWays = {8, 32};
+    axes.guVftKb = {32, 64};
+    axes.guBanks = {16, 32};
+    axes.dramGBs = {12.8, 25.6};
+    axes.sramBanks = {8, 16};
+    axes.concurrentRays = {8, 16};
+    ASSERT_EQ(axes.configCount(), 256u);
+
+    const dse::DseResult ref = perPointSweep(corpus, axes);
+    const std::string refJson = ref.json();
+    // Guard against a vacuous grid: the swept axes change the prices.
+    std::vector<std::string> gpuStats, guStats, baseStats;
+    for (const dse::DsePointResult &p : ref.points) {
+        gpuStats.push_back(p.gpuJson);
+        guStats.push_back(p.guJson);
+        baseStats.push_back(p.baselinesJson);
+    }
+    for (auto *v : {&gpuStats, &guStats, &baseStats}) {
+        std::sort(v->begin(), v->end());
+        EXPECT_GT(std::unique(v->begin(), v->end()) - v->begin(), 2);
+    }
+
+    dse::DseDriver driver(axes);
+    for (int threads : {1, 4})
+        for (bool parallel : {true, false}) {
+            setParallelThreadCount(threads);
+            dse::DseResult run = driver.run(corpus, parallel);
+            EXPECT_EQ(run.json(), refJson)
+                << "threads=" << threads << " parallel=" << parallel;
+            EXPECT_EQ(run.paretoJson(), ref.paretoJson());
+        }
 
     for (const auto &entry : corpus.entries())
         std::remove(corpus.tracePath(entry).c_str());

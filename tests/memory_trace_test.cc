@@ -323,6 +323,28 @@ TEST(RayTraceBufferTest, DuplicateCompletionMarksNeverReplayDrainedSlots)
     EXPECT_EQ(rec.events.size(), drainedEvents + 1); // just the flush
 }
 
+TEST(RayTraceBufferTest, ReplayOfUncountedSlotsKeepsPeakExact)
+{
+    // replay() delivers slots no markCompleted counted; the buffered
+    // total must not wrap below zero, or a later stray mark would
+    // report a wrapped high-water mark.
+    EventRecorder rec;
+    RayTraceBuffer buf(8, &rec);
+    for (std::uint32_t r = 0; r < 8; ++r) {
+        RayTraceBuffer::SlotSink sink = buf.sink(r);
+        sink.onAccess(acc(r * 64, 64, r));
+        sink.onAccess(acc(r * 64 + 32, 64, r));
+        sink.onRayEnd(r);
+    }
+    buf.markCompleted(4, 8); // counted, not a prefix: nothing drains
+    EXPECT_EQ(buf.peakBufferedAccesses(), 8u);
+    buf.replay();            // delivers all 16 accesses
+    buf.markCompleted(0, 2); // stray mark of drained slots
+    rec.onFlush();
+    EXPECT_EQ(rec.accesses.size(), 16u);
+    EXPECT_EQ(buf.peakBufferedAccesses(), 8u);
+}
+
 TEST(RayTraceBufferTest, WindowedDrainUnderParallelRecordingIsIdentical)
 {
     // Full contract under a real parallel loop: concurrent recording +
