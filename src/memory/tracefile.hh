@@ -51,9 +51,35 @@
  * delta-of-address + zigzag varints: gather addresses are locally
  * correlated (neighbouring grid vertices), so deltas are short, and
  * ray ids / access sizes rarely change between events, so both are
- * elided when repeated. With codec Range an adaptive order-0 binary
- * range coder (the delta-filter + entropy-coding idiom of classic
- * stream compressors) squeezes the residual varint bytes further.
+ * elided when repeated. This varint stage is what the checkpoints
+ * cover; the codec byte says how it is stored:
+ *
+ *   0 Varint  stored as is.
+ *   1 Range   an adaptive order-0 bit-tree range coder. Read-only:
+ *             this build decodes codec-1 files but no longer writes
+ *             them.
+ *   2 Rans    static order-0 rANS (the default), laid out as
+ *
+ *     frequency table   for each symbol s = 0..255 in order: varint
+ *                       freq[s] (<= 4096); after a zero frequency one
+ *                       byte r = how many following symbols are also
+ *                       zero, which are skipped. The frequencies of
+ *                       a valid table sum to exactly 4096 (2^12).
+ *     u32 x0..x3        the four interleaved decoder states,
+ *                       little-endian, each in [2^23, 2^31)
+ *     renorm bytes      read front to back
+ *
+ *   Varint-stage byte i is decoded by state i % 4: slot = x & 4095
+ *   picks the symbol s whose cumulative range [start, start + freq)
+ *   holds it, x becomes freq * (x >> 12) + slot - start, and while x
+ *   < 2^23 (at most twice) x = x << 8 | next byte. rawPayloadBytes
+ *   says how many symbols to decode.
+ *
+ * Salvage reads work on every codec the same way: a truncated stored
+ * payload decodes its intact prefix (rANS and range-coder reads past
+ * the end pad with zero), and the checkpoint CRCs cut the varint stage
+ * back to the last section they vouch for. A codec-2 table that does
+ * not parse throws in Strict mode and salvages an empty prefix.
  */
 
 #ifndef CICERO_MEMORY_TRACEFILE_HH
@@ -84,8 +110,12 @@ class TraceFileError : public ParseError
 enum class TraceCodec : std::uint8_t
 {
     Varint = 0, //!< delta + zigzag-varint event stream only
-    Range = 1,  //!< varint stream re-coded by an order-0 range coder
+    Range = 1,  //!< legacy adaptive bit-tree range coder (read-only)
+    Rans = 2,   //!< varint stream re-coded by static order-0 rANS
 };
+
+/** Name of a codec ("varint", "range", "rans"; "unknown" otherwise). */
+const char *traceCodecName(TraceCodec codec);
 
 /** Trace-file container version this build writes. */
 constexpr std::uint16_t kTraceFileVersion = 3;
@@ -116,7 +146,8 @@ struct TraceRecoveryInfo
 {
     bool salvaged = false;          //!< tail was dropped
     std::uint64_t keptEvents = 0;   //!< events in the recovered prefix
-    std::uint64_t droppedPayloadBytes = 0; //!< varint-stage bytes cut
+    //! Varint-stage bytes the header promised that were not kept.
+    std::uint64_t droppedPayloadBytes = 0;
     std::uint64_t checkpointsVerified = 0; //!< CRC-valid checkpoints
 };
 
@@ -233,7 +264,7 @@ struct TraceFileCounts
  *
  * The encoded payload is buffered in memory (a few bytes per access —
  * far smaller than the live stream) and finalized by close(): the
- * optional range-coder stage runs, then header + payload are written
+ * optional rANS stage runs, then header + payload are written
  * in one pass. close() is idempotent and called by the destructor;
  * call it explicitly to observe counts/sizes or write failures.
  *
@@ -242,6 +273,8 @@ struct TraceFileCounts
  * previous content or a complete container — never a torn write. A
  * process killed mid-close leaves at worst a stale `.tmp` beside it.
  *
+ * @throws std::invalid_argument (at construction) for a codec this
+ *         build does not write: only Varint and Rans are writable.
  * @throws IoError if the output file cannot be opened, written, or
  *         renamed into place.
  */
@@ -250,12 +283,12 @@ class TraceFileWriter : public TraceSink
   public:
     /** Write to @p path. */
     TraceFileWriter(const std::string &path, const TraceFileMeta &meta,
-                    TraceCodec codec = TraceCodec::Range);
+                    TraceCodec codec = TraceCodec::Rans);
 
     /** Write into @p buffer (cleared first); no filesystem involved. */
     TraceFileWriter(std::vector<std::uint8_t> &buffer,
                     const TraceFileMeta &meta,
-                    TraceCodec codec = TraceCodec::Range);
+                    TraceCodec codec = TraceCodec::Rans);
 
     ~TraceFileWriter() override;
 
@@ -398,7 +431,7 @@ class TraceFileReader
   private:
     void parse(const std::uint8_t *data, std::size_t size,
                TraceReadMode mode);
-    void validatePayload(TraceReadMode mode);
+    void validatePayload(TraceReadMode mode, std::uint64_t rawPayloadBytes);
 
     TraceFileMeta _meta;
     TraceFileCounts _counts;

@@ -18,6 +18,7 @@
 #include "memory/replay.hh"
 #include "memory/tracefile.hh"
 #include "nerf/models.hh"
+#include "range_codec_reference.hh"
 #include "test_util.hh"
 
 namespace cicero {
@@ -61,6 +62,29 @@ metaFor(const NerfModel &model, const std::string &scene, int res)
     return meta;
 }
 
+/** Every codec a reader accepts. */
+constexpr TraceCodec kAllCodecs[] = {TraceCodec::Varint, TraceCodec::Range,
+                                     TraceCodec::Rans};
+
+/**
+ * The codec the writer uses to produce a @p codec container: codec-1
+ * (Range) files are built from a Varint capture by the reference
+ * encoder, since the library no longer writes them.
+ */
+TraceCodec
+writerCodec(TraceCodec codec)
+{
+    return codec == TraceCodec::Range ? TraceCodec::Varint : codec;
+}
+
+/** @p ctrace (written with writerCodec(@p codec)) as a @p codec file. */
+void
+finishAs(TraceCodec codec, std::vector<std::uint8_t> &ctrace)
+{
+    if (codec == TraceCodec::Range)
+        ctrace = test::rangeContainerFrom(ctrace);
+}
+
 // ---------------------------------------------------------------------
 // Round-trip byte identity
 // ---------------------------------------------------------------------
@@ -69,7 +93,7 @@ TEST(TraceFileTest, RoundTripByteIdentityAcrossEncodingsThreadsCodecs)
 {
     // The core contract: capture → write → read → replay reproduces
     // the live serial stream exactly, for all three encodings (hash
-    // grid, dense grid, TensoRF), at 1 and N threads, in both codecs.
+    // grid, dense grid, TensoRF), at 1 and N threads, in every codec.
     ThreadCountGuard guard;
     const int res = 24;
     Scene scene = test::tinyScene();
@@ -87,16 +111,17 @@ TEST(TraceFileTest, RoundTripByteIdentityAcrossEncodingsThreadsCodecs)
         ASSERT_FALSE(live.events.empty());
 
         for (int threads : {1, 4}) {
-            for (TraceCodec codec :
-                 {TraceCodec::Varint, TraceCodec::Range}) {
+            for (TraceCodec codec : kAllCodecs) {
                 setParallelThreadCount(threads);
                 std::vector<std::uint8_t> ctrace;
                 {
-                    TraceFileWriter writer(
-                        ctrace, metaFor(*model, scene.name, res), codec);
+                    TraceFileWriter writer(ctrace,
+                                           metaFor(*model, scene.name, res),
+                                           writerCodec(codec));
                     model->traceWorkload(cam, &writer);
                     writer.close();
                 }
+                finishAs(codec, ctrace);
 
                 TraceFileReader reader(ctrace);
                 EventRecorder replayed;
@@ -145,14 +170,15 @@ TEST(TraceFileTest, CompressedTraceIsAtMostQuarterOfRawStream)
     Camera cam =
         Camera::fromFov(48, 48, scene.fovYDeg, orbitTrajectory(orbit, 1)[0]);
 
-    for (TraceCodec codec : {TraceCodec::Varint, TraceCodec::Range}) {
+    for (TraceCodec codec : kAllCodecs) {
         std::vector<std::uint8_t> ctrace;
         {
             TraceFileWriter writer(ctrace, metaFor(*model, scene.name, 48),
-                                   codec);
+                                   writerCodec(codec));
             model->render(cam, &writer);
             writer.close();
         }
+        finishAs(codec, ctrace);
         TraceFileReader reader(ctrace);
         ASSERT_GT(reader.counts().accesses, 0u);
         EXPECT_LE(reader.compressionRatio(), 0.25)
@@ -165,7 +191,7 @@ TEST(TraceFileTest, CompressedTraceIsAtMostQuarterOfRawStream)
 // ---------------------------------------------------------------------
 
 std::vector<std::uint8_t>
-syntheticContainer(TraceCodec codec = TraceCodec::Range)
+syntheticContainer(TraceCodec codec = TraceCodec::Rans)
 {
     TraceFileMeta meta;
     meta.scene = "synthetic";
@@ -205,7 +231,7 @@ TEST(TraceFileTest, MetadataAndCountsRoundTrip)
     EXPECT_EQ(reader.counts().rayEnds, 2u);
     EXPECT_EQ(reader.counts().flushes, 1u);
     EXPECT_EQ(reader.counts().rawStreamBytes(), 3 * sizeof(MemAccess));
-    EXPECT_EQ(reader.codec(), TraceCodec::Range);
+    EXPECT_EQ(reader.codec(), TraceCodec::Rans);
     EXPECT_EQ(reader.fileBytes(), buf.size());
 
     EventRecorder rec;
@@ -324,7 +350,7 @@ TEST(TraceFileTest, FileAndMemoryBackendsProduceIdenticalContainers)
         meta.height = 2;
         meta.threads = 3;
         meta.featureBytes = 16;
-        TraceFileWriter writer(path, meta, TraceCodec::Range);
+        TraceFileWriter writer(path, meta, TraceCodec::Rans);
         writer.onAccess(MemAccess{4096, 64, 0});
         writer.onAccess(MemAccess{4160, 64, 0});
         writer.onRayEnd(0);

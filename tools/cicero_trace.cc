@@ -74,7 +74,7 @@ usage()
         "commands:\n"
         "  capture -o FILE [--scene NAME] [--model ngp|dvgo|tensorf|enerf]\n"
         "          [--res N] [--frame K] [--preset fast|full]\n"
-        "          [--layout linear|mvoxel] [--codec range|varint]\n"
+        "          [--layout linear|mvoxel] [--codec rans|varint]\n"
         "          [--mode workload|render] [--fp16]\n"
         "      render one frame and persist its gather access stream;\n"
         "      --fp16 quantizes feature storage first, so the trace's\n"
@@ -160,6 +160,32 @@ optUint(int argc, char **argv, const char *name, std::uint32_t fallback,
     }
     out = static_cast<std::uint32_t>(parsed);
     return true;
+}
+
+/**
+ * Strict enumerated option: absent -> @p choices[0]; present -> must
+ * be one of @p choices, else prints the valid values and fails (a
+ * typo must not silently select the default).
+ */
+bool
+optChoice(int argc, char **argv, const char *name,
+          const std::vector<std::string> &choices, std::string &out)
+{
+    const char *v = optValue(argc, argv, name);
+    if (!v) {
+        out = choices.front();
+        return true;
+    }
+    if (std::find(choices.begin(), choices.end(), v) != choices.end()) {
+        out = v;
+        return true;
+    }
+    std::string valid;
+    for (const std::string &c : choices)
+        valid += (valid.empty() ? "" : "|") + c;
+    std::fprintf(stderr, "%s: want one of %s, got \"%s\"\n", name,
+                 valid.c_str(), v);
+    return false;
 }
 
 /** Options that take no value (everything else is --name VALUE). */
@@ -292,13 +318,15 @@ metaJson(const TraceFileReader &reader)
 {
     const TraceFileMeta &m = reader.meta();
     const TraceFileCounts &c = reader.counts();
-    char buf[384];
+    char buf[512];
     std::snprintf(buf, sizeof(buf),
+                  "\"codec\": \"%s\", "
                   "\"width\": %u, \"height\": %u, \"threads\": %u, "
                   "\"feature_bytes\": %u, \"storage\": \"%s\", "
                   "\"storage_consistent\": %s, \"accesses\": %llu, "
                   "\"ray_ends\": %llu, \"flushes\": %llu",
-                  m.width, m.height, m.threads, m.featureBytes,
+                  traceCodecName(reader.codec()), m.width, m.height,
+                  m.threads, m.featureBytes,
                   traceStorageModeName(m.storageMode),
                   traceMetaStorageConsistent(m) ? "true" : "false",
                   static_cast<unsigned long long>(c.accesses),
@@ -321,7 +349,7 @@ struct CaptureSpec
     std::uint32_t res = 64;
     std::uint32_t frame = 0;
     ModelBuildOptions opts;
-    TraceCodec codec = TraceCodec::Range;
+    TraceCodec codec = TraceCodec::Rans;
     bool fp16 = false;
     bool renderMode = false; //!< full render instead of workload trace
 };
@@ -392,17 +420,20 @@ parseCaptureOpts(int argc, char **argv, CaptureSpec &spec)
     if (!optUint(argc, argv, "--res", 64, 1, 4096, spec.res) ||
         !optUint(argc, argv, "--frame", 0, 0, 100000, spec.frame))
         return false;
-    std::string presetStr = optValueOr(argc, argv, "--preset", "fast");
-    std::string layoutStr = optValueOr(argc, argv, "--layout", "linear");
-    std::string codecStr = optValueOr(argc, argv, "--codec", "range");
-    std::string mode = optValueOr(argc, argv, "--mode", "workload");
+    std::string presetStr, layoutStr, codecStr, mode;
+    if (!optChoice(argc, argv, "--preset", {"fast", "full"}, presetStr) ||
+        !optChoice(argc, argv, "--layout", {"linear", "mvoxel"},
+                   layoutStr) ||
+        !optChoice(argc, argv, "--codec", {"rans", "varint"}, codecStr) ||
+        !optChoice(argc, argv, "--mode", {"workload", "render"}, mode))
+        return false;
     spec.opts.preset =
         presetStr == "full" ? ModelPreset::Full : ModelPreset::Fast;
     spec.opts.gridLayout = layoutStr == "mvoxel"
                                ? GridLayout::MVoxelBlocked
                                : GridLayout::Linear;
     spec.codec =
-        codecStr == "varint" ? TraceCodec::Varint : TraceCodec::Range;
+        codecStr == "varint" ? TraceCodec::Varint : TraceCodec::Rans;
     spec.fp16 = optFlag(argc, argv, "--fp16");
     spec.renderMode = mode == "render";
     return true;
@@ -585,17 +616,18 @@ cmdReplay(int argc, char **argv)
         stats = statsJson(runCacheStack(fileSource(reader), cfg));
     } else if (stack == "bank") {
         SramBankConfig cfg;
+        std::string layout;
         if (!optUint(argc, argv, "--banks", 16, 1, 65536, cfg.numBanks) ||
             !optUint(argc, argv, "--rays", 16, 1, 65536,
-                     cfg.concurrentRays))
+                     cfg.concurrentRays) ||
+            !optChoice(argc, argv, "--sram-layout", {"feature", "channel"},
+                       layout))
             return usage();
         cfg.featureBytes = reader.meta().featureBytes
                                ? reader.meta().featureBytes
                                : cfg.featureBytes;
-        cfg.layout = std::string(optValueOr(argc, argv, "--sram-layout",
-                                            "feature")) == "channel"
-                         ? SramLayout::ChannelMajor
-                         : SramLayout::FeatureMajor;
+        cfg.layout = layout == "channel" ? SramLayout::ChannelMajor
+                                         : SramLayout::FeatureMajor;
         stats = statsJson(runBankStack(fileSource(reader), cfg));
     } else if (stack == "dram") {
         stats = statsJson(runDramStack(fileSource(reader)));
@@ -728,8 +760,7 @@ cmdStats(int argc, char **argv)
                         traceStorageModeName(m.storageMode),
                         m.featureBytes, kBytesPerChannel);
     }
-    std::printf("  codec=%s\n",
-                reader.codec() == TraceCodec::Range ? "range" : "varint");
+    std::printf("  codec=%s\n", traceCodecName(reader.codec()));
     std::printf("  accesses=%llu rayEnds=%llu flushes=%llu "
                 "bytesAccessed=%llu\n",
                 static_cast<unsigned long long>(reader.counts().accesses),
@@ -938,8 +969,12 @@ cmdRecover(int argc, char **argv)
 
     if (out) {
         // Re-encode the recovered prefix as a fresh, clean container
-        // (checkpoints and checksums rebuilt by the writer).
-        TraceFileWriter writer(out, reader.meta(), reader.codec());
+        // (checkpoints and checksums rebuilt by the writer). Legacy
+        // range-coded input comes out as rans: codec 1 is read-only.
+        TraceFileWriter writer(out, reader.meta(),
+                               reader.codec() == TraceCodec::Range
+                                   ? TraceCodec::Rans
+                                   : reader.codec());
         reader.replay(&writer);
         if (reader.hasWorkloadSummary())
             writer.setWorkloadSummary(reader.workloadSummary());
